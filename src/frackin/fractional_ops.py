@@ -8,12 +8,21 @@ singular kernel (t-s)^(v-1) is integrated exactly against that
 interpolant on every panel.  The kernel's endpoint singularity at s=t is
 therefore handled without mesh grading, and the quadrature weights do not
 depend on the samples, so the operator is linear in them.
+
+`rl_profile` evaluates that quadrature at every grid point.  On grids
+whose panels, after a head of at most three, repeat by a constant step
+(`Grid.uniform` and its `refine()`) or a constant ratio (`Grid.log` and
+its `refine()`), the weights depend only on the offset between target
+and panel, so the sum is a direct convolution with O(n) powers.  Graded,
+hand-built and very small grids take an exact O(n^2)-power loop, row by
+row as `rl_integral_grid` computes one point.  Both routes give the same
+numbers to rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,17 +43,21 @@ class Grid:
     """
 
     points: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
+        arr = np.array(self.points, dtype=float)
+        pts = tuple(arr.tolist())
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise DomainError(f"grid needs at least 2 points, got {len(pts)}")
         if pts[0] <= 0.0:
             raise DomainError(f"grid points must be positive, got {pts[0]!r}")
-        for a, b in zip(pts, pts[1:]):
-            if not b > a:
-                raise DomainError("grid points must be strictly increasing")
+        # NaN compares false, so it fails here too
+        if not np.all(arr[1:] > arr[:-1]):
+            raise DomainError("grid points must be strictly increasing")
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     @classmethod
     def uniform(cls, t_min: float, t_max: float, n: int) -> "Grid":
@@ -52,7 +65,7 @@ class Grid:
             raise DomainError(
                 f"uniform grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
             )
-        return cls(tuple(np.linspace(t_min, t_max, int(n))))
+        return cls(np.linspace(t_min, t_max, int(n)))
 
     @classmethod
     def log(cls, t_min: float, t_max: float, n: int) -> "Grid":
@@ -60,13 +73,7 @@ class Grid:
             raise DomainError(
                 f"log grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
             )
-        return cls(tuple(np.geomspace(t_min, t_max, int(n))))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return cls(np.geomspace(t_min, t_max, int(n)))
 
     @property
     def n(self) -> int:
@@ -86,7 +93,7 @@ class Grid:
         arr = self.array
         mids = 0.5 * (arr[:-1] + arr[1:])
         first = 0.5 * arr[0]
-        return Grid(tuple(np.sort(np.concatenate(([first], arr, mids)))))
+        return Grid(np.sort(np.concatenate(([first], arr, mids))))
 
 
 def rl_integral_power(a: float, v: float, t: float) -> float:
@@ -104,19 +111,49 @@ def rl_integral_power(a: float, v: float, t: float) -> float:
     return gamma(a + 1.0) / gamma(a + 1.0 + v) * t ** (a + v)
 
 
-def _panel_moments(t: float, nodes: np.ndarray, v: float):
+def _moments(tau: np.ndarray, v: float):
     """Exact kernel moments of (t-s)^(v-1) against 1 and (s - s_j) per panel.
 
-    With tau = t - s (so tau decreases along the panel), the two moments
-    reduce to differences of tau^v / v and tau^(v+1) / (v+1).
+    `tau` holds t - s at the panel ends and decreases along the last axis.
+    The two moments reduce to differences of tau^v / v and
+    tau^(v+1) / (v+1).
     """
-    tau = t - nodes
-    tau = np.maximum(tau, 0.0)
     tau_v = tau ** v
     tau_v1 = tau ** (v + 1.0)
-    m0 = (tau_v[:-1] - tau_v[1:]) / v
-    m1 = tau[:-1] * m0 - (tau_v1[:-1] - tau_v1[1:]) / (v + 1.0)
+    m0 = (tau_v[..., :-1] - tau_v[..., 1:]) / v
+    m1 = tau[..., :-1] * m0 - (tau_v1[..., :-1] - tau_v1[..., 1:]) / (v + 1.0)
     return m0, m1
+
+
+def _panel_moments(t, nodes: np.ndarray, v: float):
+    """Moments of every panel between `nodes` at time t; panels beyond t
+    get zero moments.  A column of times gives one row per time."""
+    return _moments(np.maximum(t - nodes, 0.0), v)
+
+
+def _rl_row(nodes: np.ndarray, f: np.ndarray, slopes: np.ndarray, v: float) -> float:
+    """Quadrature sum at t = nodes[-1] over every panel of `nodes`.
+
+    `f` and `slopes` hold each panel's left-end sample and the slope of
+    the interpolant on it.  The result is not yet divided by Gamma(v).
+    This is the exact O(i) row that both public entry points share.
+    """
+    m0, m1 = _panel_moments(nodes[-1], nodes, v)
+    return float(np.dot(f, m0) + np.dot(slopes, m1))
+
+
+def _checked_samples(grid: Grid, samples, v: float, caller: str):
+    """The samples as a float array and v as a float, both validated."""
+    v = float(v)
+    if not v > 0.0:
+        raise DomainError(f"{caller} requires v > 0, got {v!r}")
+    f = np.asarray(samples, dtype=float)
+    if f.shape != (grid.n + 1,):
+        raise DomainError(
+            f"samples must cover the origin plus all {grid.n} grid points, "
+            f"got shape {f.shape}"
+        )
+    return f, v
 
 
 def rl_integral_grid(grid: Grid, samples, v: float, t_index: int) -> float:
@@ -126,52 +163,110 @@ def rl_integral_grid(grid: Grid, samples, v: float, t_index: int) -> float:
     one more entry than the grid).  The integrand between consecutive
     samples is the linear interpolant; the kernel is integrated exactly
     against it panel by panel, which gives second-order convergence in
-    max spacing for smooth integrands.
+    max spacing for smooth integrands.  Costs O(t_index).
     """
-    v = float(v)
-    if not v > 0.0:
-        raise DomainError(f"rl_integral_grid requires v > 0, got {v!r}")
-    f = np.asarray(samples, dtype=float)
-    if f.shape != (grid.n + 1,):
-        raise DomainError(
-            f"samples must cover the origin plus all {grid.n} grid points, "
-            f"got shape {f.shape}"
-        )
+    f, v = _checked_samples(grid, samples, v, "rl_integral_grid")
     t_index = int(t_index)
     if not 0 <= t_index < grid.n:
         raise InsufficientGrid(
             f"t_index {t_index} outside grid of {grid.n} points"
         )
     nodes = np.concatenate(([0.0], grid.array[: t_index + 1]))
-    t = grid.array[t_index]
-    m0, m1 = _panel_moments(t, nodes, v)
-    lengths = np.diff(nodes)
-    slopes = np.diff(f[: t_index + 2]) / lengths
-    acc = float(np.dot(f[: t_index + 1], m0) + np.dot(slopes, m1))
-    return acc / gamma(v)
+    slopes = np.diff(f[: t_index + 2]) / np.diff(nodes)
+    return _rl_row(nodes, f[: t_index + 1], slopes, v) / gamma(v)
+
+
+# A tail may follow at most this many irregular head panels.
+_MAX_HEAD = 3
+# Tolerance of the self-similarity test, in units in the last place.
+_TAIL_ULPS = 64
+# Below this many points the exact loop is as fast as convolving.
+_MIN_CONVOLVED = 9
+
+
+def _self_similar_tail(nodes: np.ndarray):
+    """Find a tail on which one map sends each node p places on.
+
+    The map is a constant step, s_{k+1} = s_k + h, or a constant ratio,
+    s_{k+p} = r s_k with p = 1 or 2 (`refine()` puts arithmetic midpoints
+    into a geometric grid), for every node k >= head, within _TAIL_ULPS
+    units in the last place.  Returns (head, p, geometric) for the first
+    fit with head <= _MAX_HEAD, or None.
+    """
+    if nodes.size - 1 < _MIN_CONVOLVED:
+        return None
+    for p, geometric in ((1, False), (1, True), (2, True)):
+        later, earlier = nodes[p:], nodes[:-p]
+        if geometric:
+            ratio = nodes[-1] / nodes[-1 - p]
+            miss = np.abs(later - ratio * earlier) > _TAIL_ULPS * np.spacing(later)
+        else:
+            step = nodes[-1] - nodes[-2]
+            miss = np.abs(later - earlier - step) > _TAIL_ULPS * np.spacing(nodes[-1])
+        bad = np.flatnonzero(miss)
+        head = int(bad[-1]) + 1 if bad.size else 0
+        if head <= _MAX_HEAD:
+            return head, p, geometric
+    return None
+
+
+def _convolved(f: np.ndarray, df: np.ndarray, tau: np.ndarray, v: float) -> np.ndarray:
+    """Tail sums over panels j of f_j w0(i-j) + df_j w1(i-j), for i < len(f).
+
+    The kernel is the moments of the panels between the decreasing
+    offsets `tau` (zero last, so the last panel is the nearest), the
+    first moment taken per unit panel width.  A direct convolution keeps
+    every entry a plain sum of products.
+    """
+    m0, m1 = _moments(tau, v)
+    w1 = m1 / (tau[:-1] - tau[1:])
+    m = f.size
+    return np.convolve(f, m0[::-1])[:m] + np.convolve(df, w1[::-1])[:m]
 
 
 def rl_profile(grid: Grid, samples, v: float) -> np.ndarray:
     """rl_integral_grid at every grid index, as one array.
 
-    Same quadrature as the scalar entry point; the O(n^2) panel moments
-    are batched per target time.
+    Same quadrature as the scalar entry point.  When the panels after a
+    head of at most three form a self-similar tail (a constant step, as
+    in `Grid.uniform` and its `refine()`, or a constant ratio over p = 1
+    or 2 nodes, as in `Grid.log` and its `refine()`), the weight of tail
+    panel j at target i depends only on i - j and on i mod p, scaled by
+    (t_i / t_ref)^v on a ratio tail.  The tail sum is then a direct
+    `numpy.convolve` per phase, over the samples and over their
+    differences, against one sequence of exact moments, and the head
+    panels are one block for all targets: O(n^2) multiply-adds but only
+    O(n) powers.  Other grids, and grids under nine points, take the
+    exact per-target loop, with O(n^2) powers.  The two routes agree to
+    rounding, within 1e-12 relative per entry.
     """
-    v = float(v)
-    if not v > 0.0:
-        raise DomainError(f"rl_profile requires v > 0, got {v!r}")
-    f = np.asarray(samples, dtype=float)
-    if f.shape != (grid.n + 1,):
-        raise DomainError(
-            f"samples must cover the origin plus all {grid.n} grid points, "
-            f"got shape {f.shape}"
-        )
+    f, v = _checked_samples(grid, samples, v, "rl_profile")
     nodes = np.concatenate(([0.0], grid.array))
-    lengths = np.diff(nodes)
-    slopes = np.diff(f) / lengths
-    g = gamma(v)
-    out = np.empty(grid.n)
-    for i in range(grid.n):
-        m0, m1 = _panel_moments(nodes[i + 1], nodes[: i + 2], v)
-        out[i] = (np.dot(f[: i + 1], m0) + np.dot(slopes[: i + 1], m1)) / g
-    return out
+    n = grid.n
+    df = np.diff(f)
+    tail = _self_similar_tail(nodes)
+    if tail is None:
+        slopes = df / np.diff(nodes)
+        rows = [_rl_row(nodes[: i + 2], f[: i + 1], slopes[: i + 1], v)
+                for i in range(n)]
+        return np.array(rows) / gamma(v)
+    head, p, geometric = tail
+    out = np.zeros(n)
+    if head:
+        m0, m1 = _panel_moments(nodes[1:, None], nodes[: head + 1], v)
+        out += m0 @ f[:head] + m1 @ (df[:head] / np.diff(nodes[: head + 1]))
+    if not geometric:
+        # offsets from the tail's first node: the smallest numbers, so the
+        # short offsets the early targets lean on are resolved best
+        tau = np.concatenate(([0.0], nodes[head + 1 :] - nodes[head]))[::-1]
+        out[head:] += _convolved(f[head:n], df[head:n], tau, v)
+    else:
+        for phase in range(p):
+            # the row of the last target of this phase sees every offset
+            ref = n - 1 - (n - 1 - phase) % p
+            first = head + (phase - head) % p
+            tau = nodes[ref + 1] - nodes[head : ref + 2]
+            tail_sum = _convolved(f[head:n], df[head:n], tau, v)
+            out[first::p] += (tail_sum[first - head :: p]
+                              * (nodes[first + 1 :: p] / nodes[ref + 1]) ** v)
+    return out / gamma(v)

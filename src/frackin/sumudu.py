@@ -60,12 +60,17 @@ def _rule(node_count: int):
 
 
 def _sample(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, accepting scalar-only callables."""
+    """Evaluate f on an array, accepting scalar-only callables.
+
+    Only a TypeError or ValueError from the array call (what scalar-only
+    code such as math.exp raises on an array), or a result of the wrong
+    shape, falls back to one call per point; any other error propagates.
+    """
     try:
         out = np.asarray(f(xs), dtype=float)
         if out.shape == xs.shape:
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(f(float(x))) for x in xs])
 

@@ -13,9 +13,7 @@ quadrature error, which shrinks.
 from __future__ import annotations
 
 import enum
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,16 +82,6 @@ class AdjudicationResult:
     corrected: ResidualReport
     stated_refined: ResidualReport
     corrected_refined: ResidualReport
-
-
-def _max_workers() -> int:
-    """Thread cap from FRACKIN_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("FRACKIN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _problem_summary(problem: KineticProblem) -> dict:
@@ -239,23 +227,11 @@ def adjudicate(
     noise floor, where shrinkage is not measurable).
     """
     fine = grid.refine()
-    jobs = [
-        (problem, SolutionMode.STATED, grid),
-        (problem, SolutionMode.CORRECTED, grid),
-        (problem, SolutionMode.STATED, fine),
-        (problem, SolutionMode.CORRECTED, fine),
+    stated, corrected, stated_fine, corrected_fine = [
+        residual(problem, mode, g, tol_rel=tol_rel, t_cap=t_cap, warn=False)
+        for g in (grid, fine)
+        for mode in (SolutionMode.STATED, SolutionMode.CORRECTED)
     ]
-
-    def run(job):
-        prob, mode, g = job
-        return residual(prob, mode, g, tol_rel=tol_rel, t_cap=t_cap, warn=False)
-
-    workers = min(_max_workers(), len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stated, corrected, stated_fine, corrected_fine = list(pool.map(run, jobs))
-    else:
-        stated, corrected, stated_fine, corrected_fine = [run(j) for j in jobs]
 
     stated_ok = _mode_passes(stated, stated_fine, tol_rel)
     corrected_ok = _mode_passes(corrected, corrected_fine, tol_rel)

@@ -191,15 +191,3 @@ class TestDeterminism:
             assert first.returncode == 0
             assert first.stdout == second.stdout
             assert first.stdout.strip()
-
-    def test_threaded_output_identical(self):
-        args = ["verify", "--theorem", "1", "--l", "1", "--v", "0.75",
-                "--n", "64"]
-        import os
-        env_serial = dict(os.environ, FRACKIN_THREADS="1")
-        env_parallel = dict(os.environ, FRACKIN_THREADS="4")
-        a = subprocess.run(CLI + args, capture_output=True, text=True,
-                           env=env_serial)
-        b = subprocess.run(CLI + args, capture_output=True, text=True,
-                           env=env_parallel)
-        assert a.stdout == b.stdout

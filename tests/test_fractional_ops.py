@@ -16,6 +16,7 @@ from frackin import (
     rl_integral_power,
     rl_profile,
 )
+from frackin.fractional_ops import _self_similar_tail
 
 
 class TestGrid:
@@ -41,6 +42,23 @@ class TestGrid:
     def test_requires_strictly_increasing(self):
         with pytest.raises(DomainError):
             Grid((0.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("points,message", [
+        ((0.5, 1.0, 1.0), "strictly increasing"),
+        ((0.5, math.nan, 1.0), "strictly increasing"),
+        ((math.nan, 0.5, 1.0), "strictly increasing"),
+        ((0.5, 1.0, math.nan), "strictly increasing"),
+        ((-0.5, 1.0), "must be positive, got -0.5"),
+    ])
+    def test_rejects_bad_points(self, points, message):
+        with pytest.raises(DomainError, match=message):
+            Grid(points)
+
+    def test_points_are_python_floats(self):
+        g = Grid(np.array([0.25, 0.5, 2.0]))
+        assert g.points == (0.25, 0.5, 2.0)
+        assert all(type(p) is float for p in g.points)
+        assert g == Grid((0.25, 0.5, 2.0))
 
     def test_max_spacing_includes_origin_panel(self):
         g = Grid((3.0, 3.5))
@@ -145,6 +163,68 @@ class TestGridQuadrature:
         separate = a * rl_integral_grid(g, f1, 0.6, 12) \
             + b * rl_integral_grid(g, f2, 0.6, 12)
         assert combined == pytest.approx(separate, rel=1e-13)
+
+
+def _smooth_samples(grid: Grid) -> np.ndarray:
+    return np.concatenate(([1.0], np.exp(-grid.array) + np.sqrt(grid.array)))
+
+
+def _exact_rows(grid: Grid, samples: np.ndarray, v: float) -> np.ndarray:
+    return np.array([rl_integral_grid(grid, samples, v, i)
+                     for i in range(grid.n)])
+
+
+def _tail(grid: Grid):
+    return _self_similar_tail(np.concatenate(([0.0], grid.array)))
+
+
+def _moved_point_grid() -> Grid:
+    pts = np.linspace(0.01, 2.0, 64)
+    pts[30] += 1e-9
+    return Grid(pts)
+
+
+class TestProfileRoutes:
+    """rl_profile convolves self-similar tails and loops over other grids."""
+
+    ORDERS = (0.05, 0.5, 1.0, 1.5, 2.0)
+
+    # (grid, (head panels, period p, geometric))
+    TAIL_GRIDS = [
+        (Grid.uniform(0.01, 2.0, 700), (1, 1, False)),
+        (Grid.uniform(0.01, 2.0, 350).refine(), (2, 1, False)),
+        (Grid.log(0.01, 2.0, 700), (1, 1, True)),
+        (Grid.log(0.01, 2.0, 350).refine(), (2, 2, True)),
+        (Grid.uniform(3.0 / 700, 3.0, 700), (0, 1, False)),
+        (Grid.log(1e-5, 5.0, 2048), (1, 1, True)),
+    ]
+
+    @pytest.mark.parametrize("grid,expected", TAIL_GRIDS,
+                             ids=["uniform", "uniform-refined", "log",
+                                  "log-refined", "uniform-from-origin",
+                                  "log-wide"])
+    def test_tail_grids_match_exact_rows(self, grid, expected):
+        assert _tail(grid) == expected
+        samples = _smooth_samples(grid)
+        for v in self.ORDERS:
+            got = rl_profile(grid, samples, v)
+            want = _exact_rows(grid, samples, v)
+            rel = np.max(np.abs(got - want) / np.abs(want))
+            assert rel <= 1e-12, f"v={v}: {rel:.2e}"
+
+    @pytest.mark.parametrize("grid", [
+        Grid.uniform(0.1, 1.0, 2),
+        Grid.uniform(0.1, 1.0, 3),
+        Grid.uniform(0.1, 1.0, 5),
+        Grid(tuple(2.0 * (np.arange(1, 65) / 64) ** 2)),
+        _moved_point_grid(),
+    ], ids=["n2", "n3", "n5", "graded", "moved-point"])
+    def test_other_grids_take_the_exact_loop(self, grid):
+        assert _tail(grid) is None
+        samples = _smooth_samples(grid)
+        for v in self.ORDERS:
+            got = rl_profile(grid, samples, v)
+            assert np.array_equal(got, _exact_rows(grid, samples, v))
 
 
 def _relative_error(a: float, v: float, n: int, graded: bool) -> float:

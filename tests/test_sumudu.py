@@ -84,6 +84,19 @@ class TestNumericTransform:
         with pytest.raises(DomainError):
             sumudu_numeric(lambda t: t, 1.0, node_count=4)
 
+    def test_array_error_propagates_after_one_call(self):
+        calls = []
+
+        def broken_on_arrays(t):
+            calls.append(t)
+            if isinstance(t, np.ndarray):
+                raise RuntimeError("broken on arrays")
+            return t
+
+        with pytest.raises(RuntimeError, match="broken on arrays"):
+            sumudu_numeric(broken_on_arrays, 1.0)
+        assert len(calls) == 1
+
     def test_nonfinite_sample_raises(self):
         with pytest.raises(NonFiniteError):
             sumudu_numeric(lambda t: math.inf if t > 1.0 else t, 1.0)

@@ -53,6 +53,8 @@ class Grid:
             raise DomainError(f"grid needs at least 2 points, got {len(pts)}")
         if pts[0] <= 0.0:
             raise DomainError(f"grid points must be positive, got {pts[0]!r}")
+        if np.isinf(arr).any():
+            raise DomainError("grid points must be finite")
         # NaN compares false, so it fails here too
         if not np.all(arr[1:] > arr[:-1]):
             raise DomainError("grid points must be strictly increasing")
@@ -61,6 +63,8 @@ class Grid:
 
     @classmethod
     def uniform(cls, t_min: float, t_max: float, n: int) -> "Grid":
+        if math.isinf(t_min) or math.isinf(t_max):
+            raise DomainError("grid points must be finite")
         if not (0.0 < t_min < t_max):
             raise DomainError(
                 f"uniform grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
@@ -69,6 +73,8 @@ class Grid:
 
     @classmethod
     def log(cls, t_min: float, t_max: float, n: int) -> "Grid":
+        if math.isinf(t_min) or math.isinf(t_max):
+            raise DomainError("grid points must be finite")
         if not (0.0 < t_min < t_max):
             raise DomainError(
                 f"log grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"

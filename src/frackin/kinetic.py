@@ -216,9 +216,11 @@ def build_solution(
     """Materialize the solution series for one mode.
 
     With truncation_k given, exactly that many terms plus one are built.
-    Otherwise terms are added until the running term magnitude at t_max
-    falls below 1e-14 of the largest magnitude seen, the same tail rule
-    evaluation uses; the 200-term cap raises ConvergenceError.
+    Otherwise terms are added until the term at t_max passes two tail
+    rules: its magnitude is at most 1e-14 of the largest term magnitude
+    seen, and of the largest compensated partial sum at t_max, the rule
+    `eval_solution_grid` certifies with; the 200-term cap raises
+    ConvergenceError.
     """
     if not isinstance(problem, KineticProblem):
         raise DomainError("build_solution expects a KineticProblem")
@@ -243,14 +245,26 @@ def build_solution(
     x = -((problem.relax * t_max) ** problem.v)
     terms: list[SolutionTerm] = []
     run_max = 0.0
+    total = comp = sum_max = 0.0
     for k in range(MAX_SOLUTION_TERMS + 1):
         term = _term_parameters(problem, mode, k)
         terms.append(term)
-        weight = abs(term.coeff) * t_max ** term.power * abs(
-            mittag_leffler(problem.v, term.ml_beta, x)
+        value = term.coeff * t_max ** term.power * mittag_leffler(
+            problem.v, term.ml_beta, x
         )
+        weight = abs(value)
         run_max = max(run_max, weight)
-        if k >= 1 and term.coeff != 0.0 and weight <= _EVAL_TAIL * run_max:
+        y = value - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        sum_max = max(sum_max, abs(total))
+        if (
+            k >= 1
+            and term.coeff != 0.0
+            and weight <= _EVAL_TAIL * run_max
+            and weight <= _EVAL_TAIL * sum_max
+        ):
             return SolutionSeries(tuple(terms), problem.v, problem.relax, k, mode)
         if run_max == 0.0 and k >= 1 and problem.n0 == 0.0:
             # homogeneous instance: every coefficient is identically zero

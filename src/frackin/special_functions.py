@@ -8,9 +8,17 @@ been taken), and a hard 500-term cap that raises ConvergenceError.
 Alternating series are vulnerable to cancellation: the result can be many
 orders of magnitude smaller than the largest partial sum, in which case
 float64 cannot deliver small relative error no matter how the terms are
-added.  Whenever the a-posteriori bound shows that risk (or an argument is
-deep in the known cancellation regime), the sum is recomputed with mpmath
-at a working precision chosen from the observed cancellation ratio.
+added.  Whenever the a-posteriori bound shows that risk, the Struve sums
+are recomputed with mpmath at a working precision chosen from the
+observed cancellation ratio.
+
+The Mittag-Leffler function has three tiers, each accepted entry by
+entry on its own a-posteriori estimate: the float64 series; for z < 0,
+a float64 trapezoid rule on a parabolic inverse-Laplace contour
+(`_ml_contour`, batched over a whole grid); and the mpmath series.
+mpmath runs only for positive z outside the float64 budget and for the
+negative z whose contour estimate fails, chiefly values far below the
+contour's rounding level such as E_{1,1}(-99) = e^-99.
 
 Terms whose gamma argument lands on a non-positive integer use the
 reciprocal gamma, which is entire and exactly 0 there, so those terms
@@ -20,6 +28,7 @@ vanish instead of erroring.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -38,6 +47,15 @@ _TAIL = 1e-16
 # result by this factor (float64 keeps ~13 digits through a 1e3 ratio)
 _CANCEL_LIMIT = 1e3
 ML_RANGE = 100.0
+# below this argument the float64 Mittag-Leffler series must also pass its
+# rounding bound; past _GAMMA_OVERFLOW, 1/Gamma underflows to zero
+_DEEP = -10.0
+_GAMMA_OVERFLOW = 171.6
+# largest relative error estimate a float64 result below _DEEP or a
+# contour result is accepted with
+_CONTOUR_TOL = 1e-12
+_EPS = sys.float_info.epsilon
+_LOG_EPS = math.log(_EPS)
 
 __all__ = [
     "SeriesSpec",
@@ -134,8 +152,19 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) = sum_n z^n / Gamma(alpha*n + beta) for real z.
 
     Supported for alpha > 0 and |z| <= 100; relative accuracy 1e-10 or
-    better across that range.  Arguments below -10, or any sum whose
-    cancellation exceeds the float64 budget, are recomputed with mpmath.
+    better across that range.  The value comes from the first of three
+    tiers that can vouch for it:
+
+    1. the float64 series, when it converges within the float64
+       cancellation budget (and, below z = -10, within its own rounding
+       bound of 1e-12);
+    2. for z < 0, the parabolic-contour integral of `_ml_contour`, when
+       its a-posteriori error estimate is within 1e-12 of the value;
+    3. the mpmath series at a precision adapted to the cancellation.
+
+    mpmath therefore runs only for positive z outside the float64 budget
+    and for negative z whose contour estimate fails, such as values far
+    below the contour's rounding level (E_{1,1}(-99) = e^-99).
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -146,38 +175,57 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         raise DomainError(
             f"mittag_leffler supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
-    value, max_mag, status = _ml_float(alpha, beta, z)
+    value, max_mag, status, rounding = _ml_float(alpha, beta, z)
     if (
-        status != "converged"
-        or z < -10.0
-        or max_mag > _CANCEL_LIMIT * abs(value)
+        status == "converged"
+        and max_mag <= _CANCEL_LIMIT * abs(value)
+        and (z >= _DEEP or _EPS * rounding <= _CONTOUR_TOL * abs(value))
     ):
-        # overflow, cancellation, or a term cap too small at this alpha:
-        # all are recoverable with wider exponents and more precision
-        return _ml_extended(alpha, beta, z)
-    return value
+        # the float64 series vouches for itself: it met the tail rule
+        # within the cancellation budget, and below _DEEP, where its terms
+        # grow far past the result before they decay, within its summed
+        # rounding bound too
+        return value
+    if z < 0.0:
+        values, est = _ml_contour(alpha, [beta], [z])
+        if est[0] <= _CONTOUR_TOL * abs(values[0]):
+            return float(values[0])
+    # overflow, cancellation, a term cap too small at this alpha, or a
+    # contour estimate that fails: all are recoverable with wider
+    # exponents and more precision
+    return _ml_extended(alpha, beta, z)
 
 
 def _ml_float(alpha: float, beta: float, z: float):
     total = 0.0
     comp = 0.0
     max_mag = 0.0
+    rounding = 0.0
+    # the rounding bound is only consulted below _DEEP
+    deep = z < _DEEP
     zn = 1.0
     for n in range(MAX_TERMS):
-        term = zn * reciprocal_gamma(alpha * n + beta)
+        x = alpha * n + beta
+        if x > _GAMMA_OVERFLOW and max_mag > 0.0:
+            # 1/Gamma underflows to 0 from here on, which would end the
+            # sum whether or not its terms have decayed
+            return total, max_mag, "exhausted", rounding
+        term = zn * reciprocal_gamma(x)
         if not math.isfinite(term):
-            return total, max_mag, "overflow"
+            return total, max_mag, "overflow", rounding
         y = term - comp
         s = total + y
         comp = (s - total) - y
         total = s
+        if deep:
+            rounding += abs(term) * (n + abs(x) + 4.0)
         mag = abs(total)
         if mag > max_mag:
             max_mag = mag
-        if n >= _MIN_TERMS and alpha * n + beta > 0.0 and abs(term) <= _TAIL * max_mag:
-            return total, max_mag, "converged"
+        if n >= _MIN_TERMS and x > 0.0 and abs(term) <= _TAIL * max_mag:
+            return total, max_mag, "converged", rounding
         zn *= z
-    return total, max_mag, "exhausted"
+    return total, max_mag, "exhausted", rounding
 
 
 def _ml_extended(alpha: float, beta: float, z: float) -> float:
@@ -220,12 +268,239 @@ def _ml_extended(alpha: float, beta: float, z: float) -> float:
     )
 
 
+# Contour integral for z < 0 (Garrappa, SIAM J. Numer. Anal. 53, 2015;
+# Weideman & Trefethen, Math. Comp. 76, 2007).  E_{alpha,beta}(z) is the
+# inverse Laplace transform of s^(alpha-beta) / (s^alpha - z) at t = 1,
+# integrated by the trapezoid rule on the parabola s = mu (1 + iu)^2,
+# which crosses the real axis at mu and encloses the branch cut.  A
+# point s lies left of that parabola when phi(s) = (Re s + |s|)/2 < mu.
+# For 1 < alpha <= 2 the poles s* = |z|^(1/alpha) e^(+-i pi/alpha) add
+# their residues when they lie right of it.
+
+
+def _region_between(p: float, phi_pole: float, log_tol: float):
+    """Garrappa's (mu, h, N) for a parabola between the origin and the poles."""
+    fac = 1.01
+    f_max = math.exp(log_tol - _LOG_EPS)
+    sq_pole = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_tol - _LOG_EPS))
+    if p < 1e-14:
+        f_bar = fac + fac / f_max * (f_max - fac)
+        lo = 0.0
+        hi = 2.0 * sq_pole / (2.0 + 1.0 / f_bar)
+    else:
+        log_f_min = math.log(fac) + (1.0 - max(p, 1.0)) * math.log(sq_pole)
+        if log_f_min >= math.log(f_max):
+            return None
+        f_min = max(math.exp(log_f_min), 1.5)
+        f_bar = f_min + f_min / f_max * (f_max - f_min)
+        fp = f_bar ** (-1.0 / p)
+        fq = 1.0 / f_bar
+        w = -phi_pole / log_tol
+        den = 2.0 + w - (1.0 + w) * fp + fq
+        lo = fp * sq_pole / den
+        hi = (2.0 + w - (1.0 + w) * fp) * sq_pole / den
+    log_tol -= math.log(f_bar)
+    w = -hi * hi / log_tol
+    mu = (((1.0 + w) * lo + hi) / (2.0 + w)) ** 2
+    h = -2.0 * math.pi / log_tol * (hi - lo) / ((1.0 + w) * lo + hi)
+    return mu, h, math.ceil(math.sqrt(1.0 - log_tol / mu) / h)
+
+
+def _region_beyond(phi: float, p: float, log_tol: float):
+    """Garrappa's (mu, h, N) for a parabola right of every singularity."""
+    sq_phi = math.sqrt(phi)
+    phi_bar = phi * 1.01 if phi > 0.0 else 0.01
+    sq_bar = math.sqrt(phi_bar)
+    for _ in range(100):
+        ratio = log_tol / phi_bar
+        n = math.ceil(phi_bar / math.pi * (1.0 - 1.5 * ratio + math.sqrt(1.0 - 2.0 * ratio)))
+        a = math.pi * n / phi_bar
+        sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
+        if p < 1e-14 or 0.0 < -p * math.log((sq_bar - sq_phi) / sq_mu) < math.log(10.0):
+            break
+        sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_phi
+        phi_bar = sq_bar * sq_bar
+    mu = sq_mu * sq_mu
+    h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    # keep e^mu, the size of the largest node, within the rounding budget
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        q = 0.0 if p < 1e-14 else 5.0 ** (-1.0 / p) * math.sqrt(mu)
+        if (q + sq_phi) ** 2 >= threshold:
+            return None
+        w = math.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = (q + sq_phi) / math.sqrt(-_LOG_EPS)
+        mu = threshold
+        n = math.ceil(w * log_tol / (2.0 * math.pi) / (u * w - 1.0))
+        h = w / n
+    return mu, h, n
+
+
+def _pole_phi(alpha: float, z: float) -> float:
+    if alpha <= 1.0:
+        return 0.0
+    return abs(z) ** (1.0 / alpha) * (1.0 + math.cos(math.pi / alpha)) / 2.0
+
+
+def _garrappa_rule(alpha: float, beta: float, z: float):
+    """(mu, h, N, poles right of the parabola) with the fewest nodes."""
+    phi_pole = _pole_phi(alpha, z)
+    p = max(0.0, 2.0 * (beta - alpha - 1.0))
+    log_tol = math.log(1e-15)
+    for _ in range(8):
+        found = []
+        if phi_pole > 1e-15:
+            between = _region_between(p, phi_pole, log_tol)
+            if between is not None:
+                found.append(between + (True,))
+            if phi_pole < log_tol - _LOG_EPS:
+                beyond = _region_beyond(phi_pole, 1.0, log_tol)
+                if beyond is not None:
+                    found.append(beyond + (False,))
+        else:
+            beyond = _region_beyond(0.0, p, log_tol)
+            if beyond is not None:
+                found.append(beyond + (False,))
+        if found and min(f[2] for f in found) <= 200:
+            return min(found, key=lambda f: f[2])
+        log_tol += math.log(10.0)
+    return None
+
+
+def _saddle_rule(alpha: float, beta: float, z: float):
+    """(mu, h, N, poles) for a parabola through the saddle of e^s s^(alpha-beta).
+
+    For large beta the value is near 1/Gamma(beta), far below the
+    integrand on any parabola near the origin; through the saddle at
+    mu = beta - alpha the largest node is the size of the value.  h keeps
+    the discretisation error e^(-2 pi y/h) below e^-40 of the saddle on a
+    strip of half-width y short of the origin and of the poles, where
+    the integrand grows by at most e^(b (y^2 - 2y - 2 log(1-y))).
+    """
+    b = beta - alpha
+    if b < 1.0:
+        return None
+    phi_pole = _pole_phi(alpha, z)
+    q = math.sqrt(phi_pole / b)
+    reach = 1.0 - q if q < 1.0 else min(1.0, q - 1.0)
+    if reach < 0.05:
+        return None
+    y = np.linspace(0.02, 0.95, 48) * reach
+    growth = b * (y * y - 2.0 * y - 2.0 * np.log1p(-y))
+    h = float(np.max(2.0 * math.pi * y / (40.0 + growth)))
+    return b, h, math.ceil(math.sqrt(40.0 / b) / h), phi_pole > b
+
+
+def _parabola_sums(alpha, betas, zs, mu, h, n, poles):
+    """Trapezoid sums on each entry's parabola, steps h and h/2.
+
+    Returns the finer sum plus residues, and its error estimate: the gap
+    to the coarser sum plus a rounding bound of eps times every term's
+    magnitude, weighted by the size of its exponent.
+    """
+    j = np.arange(2 * int(n.max()) + 1)
+    live = j[None, :] <= 2 * n[:, None]
+    weight = np.ones(j.size)
+    weight[0] = 0.5
+    u = 0.5 * h[:, None] * j
+    s = mu[:, None] * (1.0 + 1j * u) ** 2
+    log_s = np.log(s)
+    shift = (alpha - betas)[:, None]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        f = np.exp(s + shift * log_s) / (np.exp(alpha * log_s) - zs[:, None])
+        f = np.where(live, f * 2.0 * mu[:, None] * (1j - u), 0.0)
+    # conjugate symmetry: the nodes at -u contribute the mirror image
+    fine = 0.5 * h / math.pi * np.sum(weight * f.imag, axis=1)
+    coarse = h / math.pi * np.sum(weight[::2] * f.imag[:, ::2], axis=1)
+    size = np.abs(f) * (1.0 + np.abs(s) + np.abs(shift) * np.abs(log_s))
+    rounding = 0.5 * h / math.pi * np.sum(weight * size, axis=1)
+    gap = np.abs(fine - coarse)
+    if poles.any():
+        log_pole = np.log(-zs[poles]) / alpha + 1j * math.pi / alpha
+        pole = np.exp(log_pole)
+        shift = 1.0 - betas[poles]
+        residue = 2.0 / alpha * np.exp(shift * log_pole + pole)
+        fine[poles] += residue.real
+        rounding[poles] += np.abs(residue) * (
+            1.0 + np.abs(pole) + np.abs(shift) * np.abs(log_pole)
+        )
+    return fine, gap + _EPS * rounding
+
+
+def _relative(values, est):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(values != 0.0, est / np.abs(values), np.inf)
+
+
+def _ml_contour(alpha: float, betas, zs):
+    """E_{alpha, betas[i]}(zs[i]) for real zs[i] < 0, with error estimates.
+
+    Each entry takes Garrappa's optimal parabola first and, if that fails
+    its estimate, the saddle parabola.  An entry both fail is retried one
+    step down, E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z: for b near
+    a the value is a small difference of the contour's terms, while one
+    step down the part that cancels is the exactly known 1/Gamma(b-a).
+    Returns (values, estimates); an entry is trustworthy where its
+    estimate is at most _CONTOUR_TOL of its value, and its estimate is
+    inf where no rule applied.
+    """
+    betas = np.asarray(betas, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    values, est = _contour_rules(alpha, betas, zs)
+    todo = np.flatnonzero(~(_relative(values, est) <= _CONTOUR_TOL))
+    if todo.size:
+        lower, lower_est = _contour_rules(alpha, betas[todo] - alpha, zs[todo])
+        rg = np.array([reciprocal_gamma(b) for b in betas[todo] - alpha])
+        v = (lower - rg) / zs[todo]
+        e = (lower_est + _EPS * (np.abs(lower) + np.abs(rg))) / np.abs(zs[todo])
+        better = _relative(v, e) < _relative(values[todo], est[todo])
+        values[todo[better]] = v[better]
+        est[todo[better]] = e[better]
+    return values, est
+
+
+def _contour_rules(alpha: float, betas: np.ndarray, zs: np.ndarray):
+    """_ml_contour without the step down."""
+    values = np.zeros(betas.size)
+    est = np.full(betas.size, np.inf)
+    rel = np.full(betas.size, np.inf)
+    todo = np.arange(betas.size)
+    for rule in (_garrappa_rule, _saddle_rule):
+        found = [(i, rule(alpha, betas[i], zs[i])) for i in todo]
+        found = [(i, prm) for i, prm in found if prm is not None]
+        if not found:
+            continue
+        idx = np.array([i for i, _ in found])
+        mu, h, n, poles = (np.array(c) for c in zip(*(prm for _, prm in found)))
+        # largest N first, so each batch's first entry sets its width;
+        # the node arrays hold about 2^13 complex entries at a time
+        order = np.argsort(-n, kind="stable")
+        start = 0
+        while start < order.size:
+            stop = start + max(1, (1 << 13) // (2 * int(n[order[start]]) + 1))
+            part = order[start:stop]
+            v, e = _parabola_sums(alpha, betas[idx[part]], zs[idx[part]],
+                                  mu[part], h[part], n[part], poles[part])
+            r = _relative(v, e)
+            better = r < rel[idx[part]]
+            for target, source in ((values, v), (est, e), (rel, r)):
+                target[idx[part[better]]] = source[better]
+            start = stop
+        todo = todo[~(rel[todo] <= _CONTOUR_TOL)]
+        if not todo.size:
+            break
+    return values, est
+
+
 def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     """E_{alpha, betas[i]}(zs[j]) as a (len(betas), len(zs)) array.
 
-    Vectorized companion of mittag_leffler with the same truncation rule
-    and the same extended-precision rescue, applied entrywise where the
-    float64 cancellation budget is exceeded.
+    Vectorized companion of mittag_leffler with the same three tiers,
+    decided entry by entry: the float64 series, summed for the whole grid
+    until every entry meets the tail rule; then one batched
+    `_ml_contour` call for the negative-z entries it cannot vouch for;
+    then mpmath for the entries whose contour estimate fails.  Positive-z
+    entries outside the float64 budget take the scalar path.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -240,36 +515,53 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
         return total
     comp = np.zeros((nb, nz))
     max_mag = np.zeros((nb, nz))
+    # the rounding bound is only consulted below _DEEP
+    deep = zs < _DEEP
+    any_deep = bool(deep.any())
+    rounding = np.zeros((nb, int(deep.sum())))
+    tail = np.zeros((nb, nz), dtype=bool)
+    cut = np.zeros((nb, nz), dtype=bool)
     zn = np.ones(nz)
-    converged = False
-    overflowed = False
-    # overflow is detected below and routed to the scalar path, so the
-    # intermediate powers may saturate without warning
+    # overflow is detected below and ends the sweep, so the intermediate
+    # powers may saturate without warning
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(MAX_TERMS):
-            rg = np.array([reciprocal_gamma(alpha * n + b) for b in betas])
+            x = alpha * n + betas
+            if x.max() > _GAMMA_OVERFLOW:
+                # 1/Gamma underflows to 0 from here on, so no later tail
+                # test counts for a sum under way
+                cut |= (x > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0)
+            rg = np.array([reciprocal_gamma(v) for v in x])
             term = np.outer(rg, zn)
             y = term - comp
             s = total + y
             comp = (s - total) - y
             total = s
             np.maximum(max_mag, np.abs(total), out=max_mag)
+            if any_deep:
+                rounding += np.abs(term[:, deep]) * (n + np.abs(x) + 4.0)[:, None]
             if n >= _MIN_TERMS and alpha * n + np.min(betas) > 0.0:
-                bound = np.outer(np.abs(rg), np.abs(zn))
-                if np.all(bound <= _TAIL * max_mag):
-                    converged = True
+                # an entry whose last term meets the tail rule has converged
+                tail = np.abs(term) <= _TAIL * max_mag
+                if np.all(tail):
                     break
             zn = zn * zs
             if not np.all(np.isfinite(zn)):
-                overflowed = True
                 break
-    # entries that burned too much cancellation (or whose float sweep broke
-    # down) get the scalar treatment, which escalates to extended precision
-    risky = (max_mag > _CANCEL_LIMIT * np.abs(total)) | (zs[None, :] < -10.0)
-    if overflowed or not converged:
-        risky |= True
+        # the scalar path's acceptance rule, entrywise and negated
+        size = np.abs(total)
+        risky = ~tail | cut | (max_mag > _CANCEL_LIMIT * size)
+        if any_deep:
+            risky[:, deep] |= _EPS * rounding > _CONTOUR_TOL * size[:, deep]
+    rows, cols = np.nonzero(risky & (zs < 0.0)[None, :])
+    if rows.size:
+        values, est = _ml_contour(alpha, betas[rows], zs[cols])
+        good = est <= _CONTOUR_TOL * np.abs(values)
+        total[rows[good], cols[good]] = values[good]
+        risky[rows[good], cols[good]] = False
     for i, j in np.argwhere(risky):
-        total[i, j] = mittag_leffler(alpha, float(betas[i]), float(zs[j]))
+        b, z = float(betas[i]), float(zs[j])
+        total[i, j] = _ml_extended(alpha, b, z) if z < 0.0 else mittag_leffler(alpha, b, z)
     return total
 
 

@@ -26,6 +26,15 @@ def mlf_series(alpha, beta, z, terms=10_000, dps=60):
         return s
 
 
+def mlf_laplace(alpha, beta, z, dps=40):
+    """E_{alpha,beta}(z) as the inverse Laplace transform of
+    s^(alpha-beta) / (s^alpha - z) at t = 1 (Talbot contour), independent
+    of any series summation."""
+    with mp.workdps(dps):
+        a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        return mp.invertlaplace(lambda s: s ** (a - b) / (s**a - x), 1, method="talbot")
+
+
 def struve_series(v, z, terms=200, dps=60, signed=True):
     """Struve-type series: (z/2)^{v+1} sum_k s^k (z/2)^{2k} / (G(k+3/2)G(k+v+3/2))."""
     with mp.workdps(dps):
@@ -106,6 +115,7 @@ if __name__ == "__main__":
 
     print("gamma(3.7)       =", mp_gamma("3.7"))
     print("mlf(0.75,1.5,-3.2) =", mlf_series("0.75", "1.5", "-3.2"))
+    print("mlf(0.3,1,-20)   =", mlf_laplace("0.3", 1, -20))
     print("struve_h(0.5,1)  =", struve_series("0.5", 1))
     print("   closed form   =", mp.sqrt(2 / (mp.pi * 1)) * (1 - mp.cos(1)))
     print("struve_h(0,2)    =", struve_series(0, 2))

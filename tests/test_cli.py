@@ -90,6 +90,23 @@ class TestSolveCommand:
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
 
 
+class TestTailRule:
+    """Commands whose built truncation used to fail evaluation's tail rule."""
+
+    def test_powered_solve_at_large_argument(self):
+        out = run_cli("solve", "--theorem", "2", "--l", "1", "--d", "2",
+                      "--v", "1.5", "--tmax", "5", "--n", "200")
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.strip().splitlines()) == 201
+
+    def test_powered_verify_default_grid(self):
+        out = run_cli("verify", "--theorem", "2", "--l", "1", "--v", "1.3",
+                      "--n", "2048", "--format", "json")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["summary"]["adjudication"] == \
+            "corrected_passes"
+
+
 class TestVerifyCommand:
     def test_csv_schema_and_exit(self):
         out = run_cli("verify", "--theorem", "1", "--l", "1", "--v", "0.75",
@@ -161,6 +178,12 @@ class TestExitCodes:
         out = run_cli("eval-mlf", "--alpha", "-1", "--beta", "1", "--z", "1")
         assert out.returncode == 3
         assert "error" in out.stderr
+
+    def test_infinite_tmax_is_3(self):
+        out = run_cli("solve", "--theorem", "1", "--l", "1", "--v", "0.75",
+                      "--tmax", "inf")
+        assert out.returncode == 3
+        assert "grid points must be finite" in out.stderr
 
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",

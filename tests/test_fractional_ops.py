@@ -49,10 +49,21 @@ class TestGrid:
         ((math.nan, 0.5, 1.0), "strictly increasing"),
         ((0.5, 1.0, math.nan), "strictly increasing"),
         ((-0.5, 1.0), "must be positive, got -0.5"),
+        ((0.5, 1.0, math.inf), "grid points must be finite"),
+        ((0.5, math.inf, math.inf), "grid points must be finite"),
     ])
     def test_rejects_bad_points(self, points, message):
         with pytest.raises(DomainError, match=message):
             Grid(points)
+
+    def test_infinite_end_cannot_reach_quadrature(self):
+        # an infinite point once gave NaN from rl_profile, with only a warning
+        with pytest.raises(DomainError, match="finite"):
+            rl_profile(Grid((0.5, 1.0, math.inf)), np.ones(4), 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            Grid.uniform(0.01, math.inf, 8)
+        with pytest.raises(DomainError, match="finite"):
+            Grid.log(0.01, math.inf, 8)
 
     def test_points_are_python_floats(self):
         g = Grid(np.array([0.25, 0.5, 2.0]))

@@ -8,8 +8,10 @@ formulas is caught against an independent transcription.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from _oracles import neumann_kinetic_solution, struve_forcing_powers
 
 from frackin import (
     ConvergenceError,
@@ -28,9 +30,19 @@ from frackin import (
     haubold_series,
     haubold_solution,
     mittag_leffler,
+    mittag_leffler_grid,
 )
 
+EPS = np.finfo(float).eps
 SPEC = SeriesSpec(lam=1.0, alpha=1.0, mu=1.5, order=1.0)
+
+
+def neumann_powered(spec_args, v, d, t, terms=80):
+    """Neumann series of the powered-time equation, in extended precision."""
+    with mp.workdps(60):
+        powers = [(c * mp.mpf(d) ** (v * p), v * p)
+                  for c, p in struve_forcing_powers(*spec_args, terms=terms, dps=60)]
+        return neumann_kinetic_solution(powers, v, d, t, sweeps=80, dps=60)
 
 
 class TestProblemConstruction:
@@ -88,6 +100,26 @@ class TestSeriesInvariants:
                    * abs(mittag_leffler(sol.ml_alpha, t.ml_beta, x))
                    for t in sol.terms]
         assert weights[-1] <= 1e-14 * max(weights)
+
+    def test_build_and_evaluation_share_tail_rule(self):
+        # the single-term rule alone stopped at k = 42, one term short of
+        # what evaluation certifies at t_max
+        p = KineticProblem.powered_time(SPEC, v=1.5, d=2.0)
+        sol = build_solution(p, SolutionMode.CORRECTED, t_max=5.0)
+        assert sol.truncation_k == 43
+        ts = np.array([0.5, 2.0, 3.7, 5.0])
+        got = eval_solution_grid(sol, ts)
+        betas = [t.ml_beta for t in sol.terms]
+        for t, val in zip(ts, got):
+            want = float(neumann_powered((1, 1, 1.5, 1, 2.5), 1.5, 2.0, float(t)))
+            # float64 summation keeps no digit below eps times the largest
+            # term, which outgrows the value 1e12-fold by t = 5 (terms of
+            # 5e11 against 0.145); the series carries no extended-precision
+            # rescue, so the check is the tail rule's 1e-9 above that floor
+            ml = mittag_leffler_grid(1.5, betas, [-((2.0 * t) ** 1.5)])[:, 0]
+            largest = max(abs(term.coeff * t ** term.power * e)
+                          for term, e in zip(sol.terms, ml))
+            assert abs(val - want) <= 1e-9 * abs(want) + 4 * EPS * largest
 
     def test_modes_differ_by_unit_shift_with_equal_coefficients(self):
         p = KineticProblem.powered_time(SPEC, v=0.75, d=1.0)

@@ -6,12 +6,15 @@ summed with mpmath).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frackin.special_functions as sf
+from _oracles import mlf_laplace
 from frackin import (
     ConvergenceError,
     DomainError,
@@ -165,6 +168,105 @@ class TestMittagLefflerGrid:
     def test_range_limit_raises(self):
         with pytest.raises(DomainError):
             mittag_leffler_grid(1.0, np.array([1.0]), np.array([101.0]))
+
+
+def _pole_amplitude(alpha, beta, z):
+    """Size of the oscillating pole term of E_{alpha,beta}(z), alpha > 1.
+
+    Near its real zeros E is a small difference of this term and the
+    algebraic tail, so the error there is measured against it.
+    """
+    if alpha <= 1.0:
+        return 0.0
+    r = abs(z) ** (1.0 / alpha)
+    return 2.0 / alpha * r ** (1.0 - beta) * math.exp(r * math.cos(math.pi / alpha))
+
+
+def _sweep_draws(count=120, seed=20261018):
+    rng = random.Random(seed)
+    # (0.3, 1, -20) exhausts the mpmath series; E_{a,a} at large |z| is
+    # about 1/z^2 while each contour term is about 1/z
+    draws = [(0.3, 1.0, -20.0), (0.05, 0.05, -60.0), (0.5, 0.499, -100.0),
+             (0.9, 0.9, -60.0)]
+    while len(draws) < count:
+        draws.append((round(2.0 * (1.0 - rng.random()), 4),
+                      round(rng.uniform(0.5, 30.0), 4),
+                      round(-100.0 * (1.0 - rng.random()), 4)))
+    return draws
+
+
+class TestMittagLefflerNegativeSweep:
+    """alpha in (0, 2], beta in [0.5, 30], z in [-100, 0) against a
+    Talbot inverse Laplace transform at 40 digits, a route shared with
+    none of the library's three tiers."""
+
+    def test_small_alpha_value(self):
+        # the mpmath series alone exhausts its term budget here
+        assert mittag_leffler(0.3, 1.0, -20.0) == pytest.approx(
+            0.0374062262138844531, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,beta,z", _sweep_draws())
+    def test_against_laplace_inversion(self, alpha, beta, z):
+        want = float(mlf_laplace(alpha, beta, z))
+        got = mittag_leffler(alpha, beta, z)
+        scale = max(abs(want), _pole_amplitude(alpha, beta, z))
+        assert abs(got - want) <= 1e-10 * scale
+
+    def test_grid_against_laplace_inversion(self):
+        alpha = 0.75
+        betas = np.array([0.5, 2.0, 11.0, 29.0])
+        zs = np.array([-99.0, -42.5, -17.0, -3.0])
+        grid = mittag_leffler_grid(alpha, betas, zs)
+        for i, b in enumerate(betas):
+            for j, z in enumerate(zs):
+                want = float(mlf_laplace(alpha, float(b), float(z)))
+                assert grid[i, j] == pytest.approx(want, rel=1e-10)
+
+
+class TestMittagLefflerTiers:
+    """Which entries reach mpmath: only those whose contour estimate fails."""
+
+    @pytest.fixture
+    def mpmath_calls(self, monkeypatch):
+        calls = []
+        original = sf._ml_extended
+
+        def counted(alpha, beta, z):
+            calls.append((alpha, beta, z))
+            return original(alpha, beta, z)
+
+        monkeypatch.setattr(sf, "_ml_extended", counted)
+        return calls
+
+    @pytest.mark.parametrize("c,v,n", [(3.0, 0.5, 300), (2.2, 1.5, 600)])
+    def test_haubold_grids(self, mpmath_calls, c, v, n):
+        ts = np.linspace(0.01, 5.0, n)
+        values = mittag_leffler_grid(v, [1.0], -((c * ts) ** v))[0]
+        # the only escalations allowed are values near a zero of
+        # E_{v,1}, where the estimate of a 1e-13 result reads above 1e-12
+        near_zero = 1e-2 * np.max(np.abs(values))
+        escalated = list(mpmath_calls)
+        assert len(escalated) <= 1
+        for _, _, z in escalated:
+            assert abs(values[np.flatnonzero(-((c * ts) ** v) == z)[0]]) < near_zero
+
+    def test_solve_grid_without_mpmath(self, mpmath_calls):
+        from frackin import KineticProblem, SolutionMode, build_solution, eval_solution_grid
+
+        problem = KineticProblem.plain_time(SeriesSpec.struve(1.0), v=1.5, d=2.0)
+        sol = build_solution(problem, SolutionMode.CORRECTED, t_max=5.0)
+        eval_solution_grid(sol, np.linspace(0.01, 5.0, 2000))
+        assert mpmath_calls == []
+
+    def test_single_entry_escalates(self, mpmath_calls):
+        # e^-99 lies far below the contour's rounding level; (1 - e^-99)/99
+        # is an ordinary contour entry, the rest are on the float64 path
+        grid = mittag_leffler_grid(1.0, [1.0, 2.0], [-99.0, -3.0, 2.0])
+        assert mpmath_calls == [(1.0, 1.0, -99.0)]
+        assert grid[0, 0] == pytest.approx(math.exp(-99.0), rel=1e-10)
+        assert grid[1, 0] == pytest.approx(-math.expm1(-99.0) / 99.0, rel=1e-12)
+        assert grid[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-12)
+        assert grid[0, 2] == pytest.approx(math.exp(2.0), rel=1e-14)
 
 
 def classical_struve_reference(v: float, z: float, terms: int = 80) -> float:

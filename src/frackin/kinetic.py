@@ -53,6 +53,10 @@ __all__ = [
 
 MAX_SOLUTION_TERMS = 200
 _EVAL_TAIL = 1e-14
+# largest rounding bound, eps times the largest term summed at a time,
+# accepted against the largest value on the evaluation grid
+_EVAL_CANCEL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class Forcing(enum.Enum):
@@ -218,9 +222,8 @@ def build_solution(
     With truncation_k given, exactly that many terms plus one are built.
     Otherwise terms are added until the term at t_max passes two tail
     rules: its magnitude is at most 1e-14 of the largest term magnitude
-    seen, and of the largest compensated partial sum at t_max, the rule
-    `eval_solution_grid` certifies with; the 200-term cap raises
-    ConvergenceError.
+    seen, and `_tail_step`, the rule `eval_solution_grid` certifies with;
+    the 200-term cap raises ConvergenceError.
     """
     if not isinstance(problem, KineticProblem):
         raise DomainError("build_solution expects a KineticProblem")
@@ -245,26 +248,16 @@ def build_solution(
     x = -((problem.relax * t_max) ** problem.v)
     terms: list[SolutionTerm] = []
     run_max = 0.0
-    total = comp = sum_max = 0.0
+    state = (0.0, 0.0, 0.0)
     for k in range(MAX_SOLUTION_TERMS + 1):
         term = _term_parameters(problem, mode, k)
         terms.append(term)
         value = term.coeff * t_max ** term.power * mittag_leffler(
             problem.v, term.ml_beta, x
         )
-        weight = abs(value)
-        run_max = max(run_max, weight)
-        y = value - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        sum_max = max(sum_max, abs(total))
-        if (
-            k >= 1
-            and term.coeff != 0.0
-            and weight <= _EVAL_TAIL * run_max
-            and weight <= _EVAL_TAIL * sum_max
-        ):
+        run_max = max(run_max, abs(value))
+        state, met = _tail_step(state, value, k >= 1 and term.coeff != 0.0)
+        if met and abs(value) <= _EVAL_TAIL * run_max:
             return SolutionSeries(tuple(terms), problem.v, problem.relax, k, mode)
         if run_max == 0.0 and k >= 1 and problem.n0 == 0.0:
             # homogeneous instance: every coefficient is identically zero
@@ -275,15 +268,36 @@ def build_solution(
     )
 
 
+def _tail_step(state, term, counts: bool):
+    """Add one term to a compensated series sum; the shared tail rule.
+
+    `state` is (total, compensation, largest |partial sum|), as floats or
+    as arrays over evaluation times.  Returns the new state and whether
+    the term meets the tail rule of build_solution and
+    eval_solution_grid: |term| at most 1e-14 of the largest partial sum.
+    A term that does not count (k = 0, or a vanishing coefficient) never
+    meets it.
+    """
+    total, comp, sum_max = state
+    y = term - comp
+    s = total + y
+    comp = (s - total) - y
+    sum_max = np.maximum(sum_max, abs(s))
+    return (s, comp, sum_max), counts & (abs(term) <= _EVAL_TAIL * sum_max)
+
+
 def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
     """Evaluate the series on an array of positive times.
 
     Each point is summed in ascending k with compensated accumulation and
-    truncated adaptively at the first term below 1e-14 of its running
-    maximum.  If a multi-term series runs out of terms before any point
-    meets that rule, the built truncation cannot certify its tail there
-    and ConvergenceError is raised; a single-term series is a closed form
-    and is taken as exact.
+    truncated adaptively by `_tail_step`, at the first term below 1e-14
+    of the largest partial sum.  ConvergenceError is raised where the
+    result cannot be certified: if a multi-term series runs out of terms
+    before a point meets that rule (the built truncation cannot certify
+    its tail there; a single-term series is a closed form and is taken as
+    exact), or where eps times the largest term summed at a point exceeds
+    1e-10 of the largest value on the grid (the terms cancel past what
+    float64 carries).
     """
     if not isinstance(sol, SolutionSeries):
         raise DomainError("eval_solution_grid expects a SolutionSeries")
@@ -299,25 +313,30 @@ def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
     ml = mittag_leffler_grid(sol.ml_alpha, betas, x)
     term_matrix = coeffs[:, None] * (ts[None, :] ** powers[:, None]) * ml
     n = ts.size
-    total = np.zeros(n)
-    comp = np.zeros(n)
-    run_max = np.zeros(n)
+    state = (np.zeros(n), np.zeros(n), np.zeros(n))
+    largest = np.zeros(n)
     done = np.zeros(n, dtype=bool)
     for k in range(len(sol.terms)):
         term = np.where(done, 0.0, term_matrix[k])
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        np.maximum(run_max, np.abs(total), out=run_max)
-        if k >= 1 and coeffs[k] != 0.0:
-            done |= np.abs(term_matrix[k]) <= _EVAL_TAIL * run_max
-    adequate = done | (run_max == 0.0) | (len(sol.terms) == 1)
+        np.maximum(largest, np.abs(term), out=largest)
+        state, met = _tail_step(state, term, k >= 1 and coeffs[k] != 0.0)
+        done |= met
+    total, _, sum_max = state
+    adequate = done | (sum_max == 0.0) | (len(sol.terms) == 1)
     if not np.all(adequate):
         worst = float(ts[np.argmax(~adequate)])
         raise ConvergenceError(
             f"series truncation (k={sol.truncation_k}) cannot certify its "
             f"tail at t={worst!r}; rebuild with a larger truncation or t_max"
+        )
+    scale = float(np.max(np.abs(total)))
+    lost = _EPS * largest > _EVAL_CANCEL * scale
+    if np.any(lost):
+        i = int(np.argmax(lost))
+        raise ConvergenceError(
+            f"series terms up to {largest[i]:.3g} cancel at t={float(ts[i])!r} "
+            f"against values of at most {scale:.3g}: float64 cannot certify "
+            "the sum there"
         )
     return total
 

@@ -13,12 +13,13 @@ are recomputed with mpmath at a working precision chosen from the
 observed cancellation ratio.
 
 The Mittag-Leffler function has three tiers, each accepted entry by
-entry on its own a-posteriori estimate: the float64 series; for z < 0,
-a float64 trapezoid rule on a parabolic inverse-Laplace contour
-(`_ml_contour`, batched over a whole grid); and the mpmath series.
-mpmath runs only for positive z outside the float64 budget and for the
-negative z whose contour estimate fails, chiefly values far below the
-contour's rounding level such as E_{1,1}(-99) = e^-99.
+entry on its own a-posteriori estimate: the float64 series; for z < 0
+and alpha <= 2, a float64 trapezoid rule on a parabolic inverse-Laplace
+contour (`_ml_contour`, batched over a whole grid); and the mpmath
+series.  mpmath runs only for entries outside the float64 budget that
+the contour does not serve (positive z, or alpha > 2) and for those
+whose contour estimate fails, chiefly values far below the contour's
+rounding level such as E_{1,1}(-99) = e^-99.
 
 Terms whose gamma argument lands on a non-positive integer use the
 reciprocal gamma, which is entire and exactly 0 there, so those terms
@@ -158,13 +159,15 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     1. the float64 series, when it converges within the float64
        cancellation budget (and, below z = -10, within its own rounding
        bound of 1e-12);
-    2. for z < 0, the parabolic-contour integral of `_ml_contour`, when
-       its a-posteriori error estimate is within 1e-12 of the value;
+    2. for z < 0 and alpha <= 2, the parabolic-contour integral of
+       `_ml_contour`, when its a-posteriori error estimate is within
+       1e-12 of the value;
     3. the mpmath series at a precision adapted to the cancellation.
 
-    mpmath therefore runs only for positive z outside the float64 budget
-    and for negative z whose contour estimate fails, such as values far
-    below the contour's rounding level (E_{1,1}(-99) = e^-99).
+    mpmath therefore runs only outside the float64 budget where the
+    contour does not serve (positive z, or alpha > 2) or its estimate
+    fails, such as for values far below the contour's rounding level
+    (E_{1,1}(-99) = e^-99).
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -176,15 +179,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
             f"mittag_leffler supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
     value, max_mag, status, rounding = _ml_float(alpha, beta, z)
-    if (
-        status == "converged"
-        and max_mag <= _CANCEL_LIMIT * abs(value)
-        and (z >= _DEEP or _EPS * rounding <= _CONTOUR_TOL * abs(value))
-    ):
-        # the float64 series vouches for itself: it met the tail rule
-        # within the cancellation budget, and below _DEEP, where its terms
-        # grow far past the result before they decay, within its summed
-        # rounding bound too
+    if _float_accepted(z, value, max_mag, status == "converged", rounding):
         return value
     if z < 0.0:
         values, est = _ml_contour(alpha, [beta], [z])
@@ -194,6 +189,21 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     # contour estimate that fails: all are recoverable with wider
     # exponents and more precision
     return _ml_extended(alpha, beta, z)
+
+
+def _float_accepted(z, value, max_mag, converged, rounding):
+    """Tier 1's acceptance rule, for one entry or entrywise for arrays.
+
+    The float64 series vouches for its value when it met the tail rule
+    within the cancellation budget and, below _DEEP, where its terms grow
+    far past the result before they decay, within its summed rounding
+    bound too.  `rounding` is None where no entry lies below _DEEP.
+    """
+    size = abs(value)
+    accepted = converged & (max_mag <= _CANCEL_LIMIT * size)
+    if rounding is None:
+        return accepted
+    return accepted & ((z >= _DEEP) | (_EPS * rounding <= _CONTOUR_TOL * size))
 
 
 def _ml_float(alpha: float, beta: float, z: float):
@@ -223,9 +233,9 @@ def _ml_float(alpha: float, beta: float, z: float):
         if mag > max_mag:
             max_mag = mag
         if n >= _MIN_TERMS and x > 0.0 and abs(term) <= _TAIL * max_mag:
-            return total, max_mag, "converged", rounding
+            return total, max_mag, "converged", rounding if deep else None
         zn *= z
-    return total, max_mag, "exhausted", rounding
+    return total, max_mag, "exhausted", rounding if deep else None
 
 
 def _ml_extended(alpha: float, beta: float, z: float) -> float:
@@ -275,7 +285,17 @@ def _ml_extended(alpha: float, beta: float, z: float) -> float:
 # which crosses the real axis at mu and encloses the branch cut.  A
 # point s lies left of that parabola when phi(s) = (Re s + |s|)/2 < mu.
 # For 1 < alpha <= 2 the poles s* = |z|^(1/alpha) e^(+-i pi/alpha) add
-# their residues when they lie right of it.
+# their residues when they lie right of it.  For alpha > 2, s^alpha = z
+# has further roots with |arg s| < pi (at +-3 pi/alpha, ...) whose
+# residues no rule here adds, so the contour serves 0 < alpha <= 2 only.
+_CONTOUR_MAX_ALPHA = 2.0
+# Garrappa's parabolas budget for the poles but not for the origin once
+# beta - alpha is large: there the trapezoid sums at h and h/2 can agree
+# on a value 1e100 times too large (E_{1.5,133}(-5)).  Measured against
+# mpmath, his rules' accepted results are right up to beta - alpha = 25
+# and wrong from about 130, with every entry between rejected; past this
+# cap the saddle rule serves alone.
+_GARRAPPA_MAX_SHIFT = 30.0
 
 
 def _region_between(p: float, phi_pole: float, log_tol: float):
@@ -344,6 +364,8 @@ def _pole_phi(alpha: float, z: float) -> float:
 
 def _garrappa_rule(alpha: float, beta: float, z: float):
     """(mu, h, N, poles right of the parabola) with the fewest nodes."""
+    if beta - alpha > _GARRAPPA_MAX_SHIFT:
+        return None
     phi_pole = _pole_phi(alpha, z)
     p = max(0.0, 2.0 * (beta - alpha - 1.0))
     log_tol = math.log(1e-15)
@@ -442,10 +464,12 @@ def _ml_contour(alpha: float, betas, zs):
     step down the part that cancels is the exactly known 1/Gamma(b-a).
     Returns (values, estimates); an entry is trustworthy where its
     estimate is at most _CONTOUR_TOL of its value, and its estimate is
-    inf where no rule applied.
+    inf where no rule applied, as for every entry when alpha > 2.
     """
     betas = np.asarray(betas, dtype=float)
     zs = np.asarray(zs, dtype=float)
+    if alpha > _CONTOUR_MAX_ALPHA:
+        return np.zeros(betas.size), np.full(betas.size, np.inf)
     values, est = _contour_rules(alpha, betas, zs)
     todo = np.flatnonzero(~(_relative(values, est) <= _CONTOUR_TOL))
     if todo.size:
@@ -497,10 +521,11 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
 
     Vectorized companion of mittag_leffler with the same three tiers,
     decided entry by entry: the float64 series, summed for the whole grid
-    until every entry meets the tail rule; then one batched
-    `_ml_contour` call for the negative-z entries it cannot vouch for;
-    then mpmath for the entries whose contour estimate fails.  Positive-z
-    entries outside the float64 budget take the scalar path.
+    until every entry meets the tail rule and judged by the scalar
+    path's `_float_accepted`; then one batched `_ml_contour` call for the
+    negative-z entries it cannot vouch for (alpha <= 2); then mpmath for
+    the entries whose contour estimate fails.  Positive-z entries outside
+    the float64 budget take the scalar path.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -529,8 +554,11 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
             x = alpha * n + betas
             if x.max() > _GAMMA_OVERFLOW:
                 # 1/Gamma underflows to 0 from here on, so no later tail
-                # test counts for a sum under way
-                cut |= (x > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0)
+                # test counts for a sum still under way; past its tail
+                # point an entry's terms only shrink, so one whose last
+                # term met the rule has converged, as the scalar loop
+                # would have returned
+                cut |= (x > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0) & ~tail
             rg = np.array([reciprocal_gamma(v) for v in x])
             term = np.outer(rg, zn)
             y = term - comp
@@ -548,11 +576,13 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
             zn = zn * zs
             if not np.all(np.isfinite(zn)):
                 break
-        # the scalar path's acceptance rule, entrywise and negated
-        size = np.abs(total)
-        risky = ~tail | cut | (max_mag > _CANCEL_LIMIT * size)
         if any_deep:
-            risky[:, deep] |= _EPS * rounding > _CONTOUR_TOL * size[:, deep]
+            full = np.zeros((nb, nz))
+            full[:, deep] = rounding
+            rounding = full
+        else:
+            rounding = None
+        risky = ~_float_accepted(zs, total, max_mag, tail & ~cut, rounding)
     rows, cols = np.nonzero(risky & (zs < 0.0)[None, :])
     if rows.size:
         values, est = _ml_contour(alpha, betas[rows], zs[cols])

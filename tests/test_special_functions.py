@@ -8,13 +8,14 @@ summed with mpmath).
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frackin.special_functions as sf
-from _oracles import mlf_laplace
+from _oracles import mlf_laplace, mlf_series
 from frackin import (
     ConvergenceError,
     DomainError,
@@ -220,7 +221,7 @@ class TestMittagLefflerNegativeSweep:
         for i, b in enumerate(betas):
             for j, z in enumerate(zs):
                 want = float(mlf_laplace(alpha, float(b), float(z)))
-                assert grid[i, j] == pytest.approx(want, rel=1e-10)
+                assert grid[i, j] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestMittagLefflerTiers:
@@ -263,10 +264,57 @@ class TestMittagLefflerTiers:
         # is an ordinary contour entry, the rest are on the float64 path
         grid = mittag_leffler_grid(1.0, [1.0, 2.0], [-99.0, -3.0, 2.0])
         assert mpmath_calls == [(1.0, 1.0, -99.0)]
-        assert grid[0, 0] == pytest.approx(math.exp(-99.0), rel=1e-10)
-        assert grid[1, 0] == pytest.approx(-math.expm1(-99.0) / 99.0, rel=1e-12)
+        assert grid[0, 0] == pytest.approx(math.exp(-99.0), rel=1e-10, abs=0.0)
+        assert grid[1, 0] == pytest.approx(-math.expm1(-99.0) / 99.0, rel=1e-12, abs=0.0)
         assert grid[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-12)
         assert grid[0, 2] == pytest.approx(math.exp(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,beta,z", [
+        (1.5, 133.0, -5.0), (1.5, 133.0, -15.770891926273373),
+        (1.7, 133.0, -12.0), (2.0, 160.0, -60.0)])
+    def test_large_beta_contour(self, alpha, beta, z):
+        # Garrappa's parabolas read a passing estimate here for values
+        # 1e100 times too large; the value is about 1/Gamma(beta)
+        values, est = sf._ml_contour(alpha, [beta], [z])
+        want = float(mlf_series(alpha, beta, z, terms=200))
+        assert est[0] <= 1e-12 * abs(values[0])
+        assert abs(values[0] - want) <= 1e-12 * abs(want)
+
+    def test_grid_keeps_converged_float_entries(self, monkeypatch):
+        # the float64 series of the beta = 133 row converges long before
+        # 1/Gamma underflows at argument 171.6, so the grid keeps it as
+        # the scalar path does, although the beta = 0.5 row is still
+        # summing there and goes on to the contour
+        seen = []
+        contour = sf._ml_contour
+
+        def spy(alpha, betas, zs):
+            seen.extend(np.asarray(betas).tolist())
+            return contour(alpha, betas, zs)
+
+        monkeypatch.setattr(sf, "_ml_contour", spy)
+        zs = [-60.0, -15.770891926273373]
+        grid = mittag_leffler_grid(1.5, [0.5, 133.0], zs)
+        assert 0.5 in seen and 133.0 not in seen
+        for j, z in enumerate(zs):
+            want = float(mlf_series(1.5, 133.0, z, terms=200))
+            assert abs(grid[1, j] - want) <= 1e-13 * abs(want)
+
+    def test_contour_serves_alpha_at_most_two(self):
+        # for alpha > 2, s^alpha = z has roots at +-3 pi/alpha as well,
+        # whose residues the contour does not add
+        _, est = sf._ml_contour(4.0, [1.0, 1.0], [-24.35, -60.0])
+        assert np.all(np.isinf(est))
+
+    @pytest.mark.parametrize("x", [20.0, 24.0, 24.35, 24.4, 60.0])
+    def test_alpha_four_near_zero(self, x):
+        # E_{4,1}(-x) = cosh(a) cos(a) with a = x^(1/4)/sqrt(2), which
+        # vanishes near x = 24.35
+        with mp.workdps(30):
+            a = mp.mpf(x) ** 0.25 / mp.sqrt(2)
+            want, scale = float(mp.cosh(a) * mp.cos(a)), float(mp.cosh(a))
+        assert abs(mittag_leffler(4.0, 1.0, -x) - want) <= 1e-12 * scale
+        assert abs(mittag_leffler_grid(4.0, [1.0], [-x])[0, 0] - want) <= 1e-12 * scale
 
 
 def classical_struve_reference(v: float, z: float, terms: int = 80) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .special_functions import (
+    _EVAL_CANCEL,
     SeriesSpec,
     gamma,
     mittag_leffler,
@@ -53,9 +54,6 @@ __all__ = [
 
 MAX_SOLUTION_TERMS = 200
 _EVAL_TAIL = 1e-14
-# largest rounding bound, eps times the largest term summed at a time,
-# accepted against the largest value on the evaluation grid
-_EVAL_CANCEL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
 
@@ -306,6 +304,19 @@ def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
         return np.zeros(0)
     if np.min(ts) <= 0.0:
         raise DomainError("evaluation times must be positive")
+    return _certified(sol, ts, *_series_sums(sol, ts))
+
+
+def _series_sums(sol: SolutionSeries, ts: np.ndarray):
+    """eval_solution_grid's sums before certification.
+
+    Returns (total, largest term summed, whether the tail rule was met),
+    each per point.  Each point is summed on its own (the Mittag-Leffler
+    grid's common last term is set by the largest time), so a subset of
+    `ts` that keeps the largest time, as a grid's `refine()` keeps all of
+    the grid, gets the sums of a call on that subset alone, to the last
+    bit of numpy's vectorised powers.
+    """
     coeffs = np.array([t.coeff for t in sol.terms])
     powers = np.array([t.power for t in sol.terms])
     betas = np.array([t.ml_beta for t in sol.terms])
@@ -322,7 +333,11 @@ def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
         state, met = _tail_step(state, term, k >= 1 and coeffs[k] != 0.0)
         done |= met
     total, _, sum_max = state
-    adequate = done | (sum_max == 0.0) | (len(sol.terms) == 1)
+    return total, largest, done | (sum_max == 0.0) | (len(sol.terms) == 1)
+
+
+def _certified(sol, ts, total, largest, adequate) -> np.ndarray:
+    """`total` once eval_solution_grid's two checks pass on the grid `ts`."""
     if not np.all(adequate):
         worst = float(ts[np.argmax(~adequate)])
         raise ConvergenceError(

@@ -8,6 +8,14 @@ and its behaviour under grid refinement, drive the adjudication between
 the STATED and CORRECTED series modes.  A structurally wrong candidate
 leaves a residual that stalls under refinement; a correct one leaves only
 quadrature error, which shrinks.
+
+`adjudicate` does each piece of that work once: it builds each mode's
+series once, and sums it and the forcing once, on the refined grid.
+`Grid.refine()` keeps every point of the grid, bit for bit, at its odd
+indices, so the grid's values are every other entry of the refined
+ones.  Each grid's values are still certified at that grid's own scale,
+the grid first, so the errors raised are those of `residual` called
+grid by grid.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from .kinetic import (
     KineticProblem,
     SolutionMode,
     SolutionSeries,
+    _certified,
+    _series_sums,
     build_solution,
     eval_solution_grid,
     haubold_series,
@@ -135,6 +145,7 @@ def _residual_core(
     mode: SolutionMode,
     tol_rel: float,
     warn: bool,
+    stacklevel: int = 3,
 ) -> ResidualReport:
     samples = np.concatenate(([origin], values))
     memory = rl_profile(grid, samples, v)
@@ -162,9 +173,60 @@ def _residual_core(
                 f"quadrature error estimate {est:.3e} exceeds half the "
                 f"residual tolerance {tol_rel * scale:.3e}; refine the grid",
                 GridTooCoarse,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     return report
+
+
+def _reports(
+    problem: KineticProblem,
+    grid: Grid,
+    modes: tuple[SolutionMode, ...],
+    *,
+    refined: bool,
+    tol_rel: float,
+    t_cap: float,
+    warn: bool,
+) -> list[ResidualReport]:
+    """Residual report of each mode on the grid, then, when `refined`, of
+    each mode on `grid.refine()`.
+
+    These are the reports of `residual` called grid by grid and mode by
+    mode, with each piece of work done once (see the module docstring):
+    each series is built once and summed on the finest grid, as is the
+    forcing, and the grid takes every other entry.  Each grid's sums are
+    certified at that grid's own scale, in the order `residual` calls
+    would raise.
+    """
+    if not isinstance(problem, KineticProblem):
+        raise DomainError("residual expects a KineticProblem")
+    if not isinstance(grid, Grid):
+        raise DomainError("residual expects a Grid")
+    if grid.points[-1] > t_cap:
+        raise DomainError(
+            f"grid extends to t={grid.points[-1]!r}, beyond the residual "
+            f"window cap {t_cap!r}"
+        )
+    grids = (grid, grid.refine()) if refined else (grid,)
+    ts = grids[-1].array
+    levels = (slice(1, None, 2), slice(None)) if refined else (slice(None),)
+    summary = _problem_summary(problem)
+    sols, sums = {}, {}
+    forcing = None
+    reports = []
+    for g, level in zip(grids, levels):
+        for mode in modes:
+            if mode not in sols:
+                sols[mode] = build_solution(problem, mode, t_max=grid.points[-1])
+                sums[mode] = _series_sums(sols[mode], ts)
+            sol = sols[mode]
+            values = _certified(sol, ts[level], *(a[level] for a in sums[mode]))
+            if forcing is None:
+                forcing = _forcing_values(problem, ts)
+            reports.append(_residual_core(
+                values, _origin_value(sol), forcing[level], problem.relax,
+                problem.v, g, summary, mode, tol_rel, warn, stacklevel=4))
+    return reports
 
 
 def residual(
@@ -177,31 +239,9 @@ def residual(
     warn: bool = True,
 ) -> ResidualReport:
     """Substitute the mode's series into the equation on the grid."""
-    if not isinstance(problem, KineticProblem):
-        raise DomainError("residual expects a KineticProblem")
-    if not isinstance(grid, Grid):
-        raise DomainError("residual expects a Grid")
-    if grid.points[-1] > t_cap:
-        raise DomainError(
-            f"grid extends to t={grid.points[-1]!r}, beyond the residual "
-            f"window cap {t_cap!r}"
-        )
-    ts = grid.array
-    sol = build_solution(problem, mode, t_max=grid.points[-1])
-    values = eval_solution_grid(sol, ts)
-    forcing = _forcing_values(problem, ts)
-    return _residual_core(
-        values,
-        _origin_value(sol),
-        forcing,
-        problem.relax,
-        problem.v,
-        grid,
-        _problem_summary(problem),
-        mode,
-        tol_rel,
-        warn,
-    )
+    (report,) = _reports(problem, grid, (mode,), refined=False,
+                         tol_rel=tol_rel, t_cap=t_cap, warn=warn)
+    return report
 
 
 def _mode_passes(base: ResidualReport, refined: ResidualReport, tol_rel: float) -> bool:
@@ -226,12 +266,9 @@ def adjudicate(
     scale and shrinks under one grid refinement (unless already at the
     noise floor, where shrinkage is not measurable).
     """
-    fine = grid.refine()
-    stated, corrected, stated_fine, corrected_fine = [
-        residual(problem, mode, g, tol_rel=tol_rel, t_cap=t_cap, warn=False)
-        for g in (grid, fine)
-        for mode in (SolutionMode.STATED, SolutionMode.CORRECTED)
-    ]
+    stated, corrected, stated_fine, corrected_fine = _reports(
+        problem, grid, (SolutionMode.STATED, SolutionMode.CORRECTED),
+        refined=True, tol_rel=tol_rel, t_cap=t_cap, warn=False)
 
     stated_ok = _mode_passes(stated, stated_fine, tol_rel)
     corrected_ok = _mode_passes(corrected, corrected_fine, tol_rel)

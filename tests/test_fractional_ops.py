@@ -16,7 +16,7 @@ from frackin import (
     rl_integral_power,
     rl_profile,
 )
-from frackin.fractional_ops import _self_similar_tail
+from frackin.fractional_ops import _BLOCK, _self_similar_tail
 
 
 class TestGrid:
@@ -236,6 +236,64 @@ class TestProfileRoutes:
         for v in self.ORDERS:
             got = rl_profile(grid, samples, v)
             assert np.array_equal(got, _exact_rows(grid, samples, v))
+
+
+def _dropped_last(grid: Grid) -> Grid:
+    return Grid(grid.points[:-1])
+
+
+def _block_edge_grids():
+    """Tails of _BLOCK - 1, _BLOCK and _BLOCK + 1 panels, or, on a p = 2
+    tail, phases of those lengths."""
+    out = []
+    for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        out += [
+            (f"uniform-{m}", Grid.uniform(0.01, 2.0, m + 1), (1, 1, False)),
+            (f"from-origin-{m}", Grid.uniform(2.0 / m, 2.0, m), (0, 1, False)),
+            (f"log-{m}", Grid.log(0.01, 2.0, m + 1), (1, 1, True)),
+            # 2k + 1 points, head 2: phases of k and k - 1 targets
+            (f"log-refined-{m}", Grid.log(0.01, 2.0, m).refine(), (2, 2, True)),
+            (f"log-refined-even-{m}",
+             _dropped_last(Grid.log(0.01, 2.0, m + 1).refine()), (2, 2, True)),
+        ]
+    return out
+
+
+class TestBlockedTails:
+    """The tail sums cover only the entries they return, block by block."""
+
+    ORDERS = (0.05, 0.5, 1.5, 2.0)
+
+    @pytest.mark.parametrize("name,grid,expected", _block_edge_grids(),
+                             ids=[c[0] for c in _block_edge_grids()])
+    def test_block_edges_match_exact_rows(self, name, grid, expected):
+        assert _tail(grid) == expected
+        samples = _smooth_samples(grid)
+        for v in self.ORDERS:
+            got = rl_profile(grid, samples, v)
+            want = _exact_rows(grid, samples, v)
+            for phase in (0, 1):
+                rel = np.max(np.abs(got[phase::2] - want[phase::2])
+                             / np.abs(want[phase::2]))
+                assert rel <= 1e-12, f"v={v}, phase {phase}: {rel:.2e}"
+
+    @pytest.mark.parametrize("grid", [
+        Grid.uniform(0.01, 2.0, 8192),
+        Grid.log(0.01, 2.0, 4096).refine(),
+        _dropped_last(Grid.log(0.01, 2.0, 4096).refine()),
+    ], ids=["uniform", "log-refined", "log-refined-even"])
+    def test_large_grids_match_exact_rows(self, grid):
+        n = grid.n
+        rows = np.unique(np.concatenate((
+            np.arange(70), np.linspace(0, n - 1, 150).astype(int),
+            np.arange(n - 70, n))))
+        samples = _smooth_samples(grid)
+        for v in (0.5, 1.5):
+            got = rl_profile(grid, samples, v)
+            want = np.array([rl_integral_grid(grid, samples, v, i)
+                             for i in rows])
+            rel = np.max(np.abs(got[rows] - want) / np.abs(want))
+            assert rel <= 1e-12, f"v={v}: {rel:.2e}"
 
 
 def _relative_error(a: float, v: float, n: int, graded: bool) -> float:

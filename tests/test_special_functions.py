@@ -512,6 +512,30 @@ class TestStruveDerivatives:
         with pytest.raises(DomainError):
             struve_h_with_derivatives(0.5, 0.0)
 
+    @pytest.mark.parametrize("z", [20.0, 25.0])
+    def test_cancelling_series_raises(self, z):
+        # eps times the largest partial sum passes 1e-10 of the values:
+        # 5.5e-9 at z = 20, v = 1/2; the sum was 2.4e-6 off at z = 25
+        for v in (0.0, 0.5, 1.0, 1.5):
+            with pytest.raises(ConvergenceError, match="cancels"):
+                struve_h_with_derivatives(v, z)
+
+    def test_against_mpmath_at_fifteen(self):
+        # H' = H_{v-1} - (v/z) H, and H'' from the Struve equation
+        z = 15.0
+        with mp.workdps(40):
+            for v in (0.0, 0.5, 1.0, 1.5):
+                h = mp.struveh(v, z)
+                dh = mp.struveh(v - 1, z) - v / mp.mpf(z) * h
+                rhs = 4 * (mp.mpf(z) / 2) ** (v + 1) / (
+                    mp.sqrt(mp.pi) * mp.gamma(v + 0.5))
+                ddh = (rhs - z * dh - (z * z - v * v) * h) / (z * z)
+                want = [float(h), float(dh), float(ddh)]
+                got = struve_h_with_derivatives(v, z)
+                size = max(abs(w) for w in want)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-9 * size, (v, g, w)
+
 
 class TestConvergenceGuards:
     def test_mlf_cap_raises(self):

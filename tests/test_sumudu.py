@@ -15,6 +15,7 @@ from frackin import (
     sumudu_numeric,
     sumudu_power,
 )
+from frackin.sumudu import _limit_at_zero
 
 
 class TestPowerTransform:
@@ -129,3 +130,17 @@ class TestRLRule:
     def test_invalid_u_raises(self):
         with pytest.raises(DomainError):
             check_rl_rule(lambda t: t, 0.5, 3.0)
+
+    def test_singular_origin_sample_is_zero(self):
+        # t^-1/2 diverges at the origin: its sample there is pinned to 0.0,
+        # the convention of verify, not probed as f(1e-300) = 1e150, which
+        # made the defect 1.2e146
+        assert _limit_at_zero(lambda t: t ** -0.5) == 0.0
+        with np.errstate(divide="ignore"):
+            assert _limit_at_zero(lambda t: np.float64(t) ** -0.5) == 0.0
+        assert check_rl_rule(lambda t: t ** -0.5, 0.5, 1.0) < 0.05
+
+    def test_finite_origin_value_is_used(self):
+        assert _limit_at_zero(lambda t: 1.0 + t) == 1.0
+        assert _limit_at_zero(math.cos) == 1.0
+        assert check_rl_rule(math.cos, 0.5, 1.0) <= 1e-5

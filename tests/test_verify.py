@@ -13,6 +13,7 @@ import pytest
 
 from frackin import (
     Adjudication,
+    ConvergenceError,
     DomainError,
     Forcing,
     Grid,
@@ -24,6 +25,7 @@ from frackin import (
     haubold_residual,
     residual,
 )
+from frackin.verify import _mode_passes
 
 SPEC = SeriesSpec(lam=1.0, alpha=1.0, mu=1.5, order=1.0)
 BENCH_GRID = Grid.uniform(2.0 / 2048, 2.0, 2048)
@@ -126,6 +128,81 @@ class TestAdjudication:
             r1 = residual(tied, mode, g, warn=False)
             r2 = residual(degenerate, mode, g, warn=False)
             assert np.max(np.abs(r1.residual - r2.residual)) <= 1e-12
+
+
+def _first_residual_error(problem, grid, error):
+    """Message of the first error `residual` raises, grid by grid and
+    mode by mode, the order adjudicate's four reports come in."""
+    for g in (grid, grid.refine()):
+        for mode in (SolutionMode.STATED, SolutionMode.CORRECTED):
+            try:
+                residual(problem, mode, g, warn=False)
+            except error as exc:
+                return str(exc)
+    return None
+
+
+class TestSharedEvaluation:
+    """adjudicate sums each series once on the refined grid; its reports
+    equal those of residual on each grid alone."""
+
+    PROBLEMS = [
+        KineticProblem.plain_time(SPEC, v=0.75, d=1.0),
+        KineticProblem.powered_time(SPEC, v=1.3, d=1.1),
+        KineticProblem.powered_time_distinct(SPEC, v=0.9, d=1.0, relax=0.6),
+    ]
+    GRIDS = [Grid.uniform(0.01, 2.0, 512), Grid.log(0.01, 2.0, 512)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["uniform", "log"])
+    @pytest.mark.parametrize("problem", PROBLEMS,
+                             ids=["plain", "powered", "distinct"])
+    def test_reports_match_residual(self, problem, grid):
+        result = adjudicate(problem, grid)
+        reports = {
+            (SolutionMode.STATED, 0): result.stated,
+            (SolutionMode.CORRECTED, 0): result.corrected,
+            (SolutionMode.STATED, 1): result.stated_refined,
+            (SolutionMode.CORRECTED, 1): result.corrected_refined,
+        }
+        alone = {}
+        for level, g in enumerate((grid, grid.refine())):
+            for mode in SolutionMode:
+                want = residual(problem, mode, g, warn=False)
+                got = reports[mode, level]
+                assert got.grid == g and got.mode is mode
+                assert got.scale == want.scale
+                assert np.max(np.abs(got.residual - want.residual)) \
+                    <= 1e-14 * want.scale
+                assert abs(got.max_abs - want.max_abs) <= 1e-14 * want.scale
+                alone[mode, level] = want
+        passes = {mode: _mode_passes(alone[mode, 0], alone[mode, 1], 1e-4)
+                  for mode in SolutionMode}
+        verdict = {
+            (True, True): Adjudication.BOTH_PASS,
+            (True, False): Adjudication.STATED_PASSES,
+            (False, True): Adjudication.CORRECTED_PASSES,
+            (False, False): Adjudication.NEITHER_PASS,
+        }[passes[SolutionMode.STATED], passes[SolutionMode.CORRECTED]]
+        assert result.verdict is verdict
+
+    def test_cancelling_series_raises_as_residual_does(self):
+        # theorem 2, l = 1, d = 2, v = 1.5 to t = 5: the series terms
+        # cancel past what float64 carries
+        problem = KineticProblem.powered_time(SPEC, v=1.5, d=2.0)
+        grid = Grid.uniform(0.01, 5.0, 256)
+        want = _first_residual_error(problem, grid, ConvergenceError)
+        assert want is not None and "cancel" in want
+        with pytest.raises(ConvergenceError) as info:
+            adjudicate(problem, grid)
+        assert str(info.value) == want
+
+    def test_window_cap_raises_as_residual_does(self):
+        problem = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
+        grid = Grid.uniform(0.1, 6.0, 64)
+        want = _first_residual_error(problem, grid, DomainError)
+        with pytest.raises(DomainError) as info:
+            adjudicate(problem, grid)
+        assert str(info.value) == want
 
 
 class TestHauboldResidual:

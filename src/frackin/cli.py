@@ -73,16 +73,22 @@ def _add_grid_flags(p: argparse.ArgumentParser, default_n: int) -> None:
                    help="grid spacing (default uniform)")
 
 
-def _add_series_flags(p: argparse.ArgumentParser) -> None:
+def _add_series_flags(p: argparse.ArgumentParser, templates: bool = False) -> None:
+    # verify and corollary also serve the specialized templates, which fix
+    # most parameters themselves: there the order has a default, and --mu
+    # is the scaled-offset divisor of families 10-12
     p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                    help="first gamma slope of the forcing series (default 1)")
     p.add_argument("--alpha-p", dest="alpha_p", type=float, default=1.0,
                    help="second gamma slope of the forcing series (default 1); "
                         "distinct from the Mittag-Leffler alpha")
-    p.add_argument("--mu", type=float, default=1.5,
-                   help="offset of the alpha-slope gamma (default 3/2)")
-    p.add_argument("--l", dest="order", type=float, required=True,
-                   help="series order l (required)")
+    p.add_argument("--mu", type=float, default=None,
+                   help="offset of the alpha-slope gamma (default 3/2)"
+                        + ("; for specialized families 10-12 this is instead "
+                           "the scaled-offset divisor" if templates else ""))
+    order = (dict(default=1.0, help="series order l (default 1)") if templates
+             else dict(required=True, help="series order l (required)"))
+    p.add_argument("--l", dest="order", type=float, **order)
     p.add_argument("--sigma", type=float, default=None,
                    help="offset of the lambda-slope gamma (default l + 3/2)")
 
@@ -183,7 +189,7 @@ def _cmd_solve(args) -> int:
     problem = _theorem_problem(args)
     meta = {"command": "solve",
             "params": {"theorem": args.theorem, "lambda": args.lam,
-                       "alpha_p": args.alpha_p, "mu": args.mu,
+                       "alpha_p": args.alpha_p, "mu": problem.forcing_spec.mu,
                        "l": args.order,
                        "sigma": problem.forcing_spec.sigma,
                        "d": args.d, "relax": problem.relax, "v": args.v,
@@ -305,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="solution family to verify")
     group.add_argument("--corollary", type=int, choices=range(1, 13),
                        metavar="{1..12}", help="specialized family to verify")
-    _add_series_flags_optional(p)
+    _add_series_flags(p, templates=True)
     _add_problem_flags(p)
     p.add_argument("--tol", type=float, default=1e-4,
                    help="relative residual tolerance (default 1e-4)")
@@ -319,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tabulate one of the twelve specialized series")
     p.add_argument("--id", type=int, choices=range(1, 13), required=True,
                    metavar="{1..12}", help="specialized family id")
-    _add_series_flags_optional(p)
+    _add_series_flags(p, templates=True)
     _add_problem_flags(p)
     _add_mode_flag(p)
     _add_grid_flags(p, default_n=200)
@@ -339,23 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_haubold)
 
     return parser
-
-
-def _add_series_flags_optional(p: argparse.ArgumentParser) -> None:
-    # verify/corollary take the same series flags but with a default order,
-    # since the specialized templates fix most parameters themselves
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="first gamma slope of the forcing series (default 1)")
-    p.add_argument("--alpha-p", dest="alpha_p", type=float, default=1.0,
-                   help="second gamma slope of the forcing series (default 1)")
-    p.add_argument("--mu", type=float, default=None,
-                   help="offset of the alpha-slope gamma (default 3/2); for "
-                        "specialized families 10-12 this is instead the "
-                        "scaled-offset divisor")
-    p.add_argument("--l", dest="order", type=float, default=1.0,
-                   help="series order l (default 1)")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="offset of the lambda-slope gamma (default l + 3/2)")
 
 
 def main(argv: list[str] | None = None) -> int:

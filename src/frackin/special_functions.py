@@ -1,25 +1,30 @@
 """Gamma, Mittag-Leffler, and Struve-family series for real arguments.
 
-Every series here follows one discipline: ascending-index summation with
-compensated (Kahan) accumulation, truncation once a term drops below
-1e-16 of the largest partial-sum magnitude (and at least 6 terms have
-been taken), and a hard 500-term cap that raises ConvergenceError.
+Both families are power series in one argument with reciprocal-gamma
+coefficients, E_{a,b}(z) = sum_n z^n / Gamma(a n + b) and
+H(z) = (z/2)^(l+1) sum_k (-(z/2)^2)^k / (Gamma(alpha k + mu) Gamma(lam k + sigma)),
+and one engine sums both.  Each value comes from the first tier whose
+own a-posteriori estimate vouches for it:
 
-Alternating series are vulnerable to cancellation: the result can be many
-orders of magnitude smaller than the largest partial sum, in which case
-float64 cannot deliver small relative error no matter how the terms are
-added.  Whenever the a-posteriori bound shows that risk, the Struve sums
-are recomputed with mpmath at a working precision chosen from the
-observed cancellation ratio.
+1. The float64 series: `_series_float` for one argument, `_series_grid`
+   for a grid.  Both sum with compensated (Kahan) accumulation until a
+   term drops below 1e-16 of the largest partial-sum magnitude (after at
+   least 6 terms, within 500), and both are judged by `_float_accepted`,
+   which rejects alternating sums that cancel past what float64 carries.
+2. Mittag-Leffler only, for z < 0 and alpha <= 2: a float64 trapezoid
+   rule on a parabolic inverse-Laplace contour (`_ml_contour`, batched
+   over a whole grid).
+3. The mpmath series, `_series_mp`, at a precision chosen from the
+   observed cancellation; `_ml_extended` and `_struve_extended` are the
+   two families' entries.  It raises ConvergenceError where the sum does
+   not converge and NonFiniteError where the value leaves float64 range.
 
-The Mittag-Leffler function has three tiers, each accepted entry by
-entry on its own a-posteriori estimate: the float64 series; for z < 0
-and alpha <= 2, a float64 trapezoid rule on a parabolic inverse-Laplace
-contour (`_ml_contour`, batched over a whole grid); and the mpmath
-series.  mpmath runs only for entries outside the float64 budget that
-the contour does not serve (positive z, or alpha > 2) and for those
-whose contour estimate fails, chiefly values far below the contour's
-rounding level such as E_{1,1}(-99) = e^-99.
+Grids decide the tier entry by entry, and a rejected entry goes on to
+the next tier alone.  Scalar entry points keep a loop of their own: a
+length-1 grid costs 10-40 times as much.  For Mittag-Leffler, mpmath
+runs only outside the float64 budget where the contour does not serve
+(positive z, or alpha > 2) and where its estimate fails, chiefly for
+values far below its rounding level such as E_{1,1}(-99) = e^-99.
 
 Terms whose gamma argument lands on a non-positive integer use the
 reciprocal gamma, which is entire and exactly 0 there, so those terms
@@ -149,6 +154,177 @@ class SeriesSpec:
 
 
 # ---------------------------------------------------------------------------
+# The series engine: sum_n x^n prod_j 1/Gamma(a_j n + b_j) in three tiers
+
+
+def _float_accepted(value, max_mag, converged, rounding):
+    """Tier 1's acceptance rule, for one entry or entrywise for arrays.
+
+    The float64 series vouches for its value when it met the tail rule
+    within the cancellation budget and, where `rounding` is given (0 for
+    entries that need no bound), within its summed rounding bound too.
+    """
+    size = abs(value)
+    accepted = converged & (max_mag <= _CANCEL_LIMIT * size)
+    if rounding is None:
+        return accepted
+    return accepted & (_EPS * rounding <= _CONTOUR_TOL * size)
+
+
+def _series_float(x: float, gammas, deep: bool = False):
+    """sum_n x^n prod_j 1/Gamma(a_j n + b_j) in float64, for one x.
+
+    `gammas` holds one or two pairs (a_j, b_j) with a_j > 0.  With `deep`
+    (Mittag-Leffler below _DEEP, where the terms grow far past the result
+    before they decay) the sum also carries its rounding bound.  Returns
+    (value, accepted).
+    """
+    (a, b), (a2, b2) = gammas[0], gammas[-1]
+    two = len(gammas) == 2
+    total = comp = max_mag = rounding = 0.0
+    xn = 1.0
+    converged = False
+    for n in range(MAX_TERMS):
+        # lo and hi: the smaller and the larger gamma argument of the term
+        g = lo = hi = a * n + b
+        if two:
+            g2 = a2 * n + b2
+            if g2 < g:
+                lo = g2
+            else:
+                hi = g2
+        if hi > _GAMMA_OVERFLOW and max_mag > 0.0:
+            # 1/Gamma underflows to 0 from here on, which would end the
+            # sum whether or not its terms have decayed
+            break
+        term = xn * reciprocal_gamma(g)
+        if two:
+            term *= reciprocal_gamma(g2)
+        if not math.isfinite(term):
+            break
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if deep:
+            rounding += abs(term) * (n + abs(g) + 4.0)
+        mag = abs(total)
+        if mag > max_mag:
+            max_mag = mag
+        if n >= _MIN_TERMS and lo > 0.0 and abs(term) <= _TAIL * max_mag:
+            converged = True
+            break
+        xn *= x
+    return total, _float_accepted(total, max_mag, converged, rounding if deep else None)
+
+
+def _series_grid(xs: np.ndarray, gammas, deep=None):
+    """_series_float for every offset row and every argument in `xs`.
+
+    `gammas` holds one or two pairs (a_j, offsets_j), each offsets_j an
+    array over the rows.  The sum runs until every entry meets the tail
+    rule; an entry whose last term met it has converged.  `deep` marks
+    the columns that carry a rounding bound.  Returns (values, accepted)
+    as (rows, len(xs)) arrays.
+    """
+    # with one pair, the second gamma argument repeats the first
+    (a, b), (a2, b2) = gammas[0], gammas[-1]
+    b, b2 = np.asarray(b, dtype=float), np.asarray(b2, dtype=float)
+    two = len(gammas) == 2
+    shape = (b.size, xs.size)
+    total = np.zeros(shape)
+    comp = np.zeros(shape)
+    max_mag = np.zeros(shape)
+    tail = np.zeros(shape, dtype=bool)
+    cut = np.zeros(shape, dtype=bool)
+    rounding = np.zeros(shape) if deep is not None and deep.any() else None
+    xn = np.ones(xs.size)
+    # a non-finite power ends the sweep, and a non-finite term leaves its
+    # entry's sum non-finite, which rejects it: both may pass silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(MAX_TERMS):
+            g = a * n + b
+            g2 = a2 * n + b2
+            hi = np.maximum(g, g2)
+            if hi.max() > _GAMMA_OVERFLOW:
+                # 1/Gamma underflows to 0 from here on, so no later tail
+                # test counts for a sum still under way; past its tail
+                # point an entry's terms only shrink, so one whose last
+                # term met the rule has converged, as the scalar loop
+                # would have returned
+                cut |= (hi > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0) & ~tail
+            coeff = np.array([reciprocal_gamma(v) for v in g])
+            if two:
+                coeff *= [reciprocal_gamma(v) for v in g2]
+            term = np.outer(coeff, xn)
+            y = term - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            np.maximum(max_mag, np.abs(total), out=max_mag)
+            if rounding is not None:
+                rounding[:, deep] += np.abs(term[:, deep]) * (n + np.abs(g) + 4.0)[:, None]
+            if n >= _MIN_TERMS and min(g.min(), g2.min()) > 0.0:
+                tail = np.abs(term) <= _TAIL * max_mag
+                if np.all(tail):
+                    break
+            xn = xn * xs
+            if not np.all(np.isfinite(xn)):
+                break
+        converged = tail & ~cut & np.isfinite(total)
+        return total, _float_accepted(total, max_mag, converged, rounding)
+
+
+def _series_mp(setup, gammas, label: str) -> float:
+    """sum_n x^n prod_j 1/Gamma(a_j n + b_j), times a prefactor, in mpmath.
+
+    `setup()` returns (x, prefactor) built at the working precision.  The
+    precision starts at 30 digits and grows with the cancellation the sum
+    shows until its rounding floor sits about 13 digits below the value.
+    Raises ConvergenceError where the sum does not converge and
+    NonFiniteError where the value leaves the float64 range; `label`
+    names the series in those messages.
+    """
+    dps = 30
+    for _ in range(8):
+        with mpmath.workdps(dps):
+            x, prefactor = setup()
+            pairs = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in gammas]
+            tail = mpmath.mpf(10) ** (-dps)
+            total = max_mag = mpmath.mpf(0)
+            xn = mpmath.mpf(1)
+            for n in range(MAX_TERMS_EXTENDED):
+                term = xn
+                for a, b in pairs:
+                    term *= mpmath.rgamma(a * n + b)
+                total += term
+                mag = abs(total)
+                if mag > max_mag:
+                    max_mag = mag
+                if (n >= _MIN_TERMS and all(a * n + b > 0 for a, b in pairs)
+                        and abs(term) <= tail * max_mag):
+                    break
+                xn *= x
+            else:
+                raise ConvergenceError(
+                    f"{label} did not meet the tail criterion within "
+                    f"{MAX_TERMS_EXTENDED} terms"
+                )
+            # precision is adequate once the accumulated rounding floor sits
+            # at least ~13 digits below the result
+            if max_mag == 0 or abs(total) > mpmath.mpf(10) ** (13 - dps) * max_mag:
+                value = float(total * prefactor)
+                if not math.isfinite(value):
+                    raise NonFiniteError(f"{label} exceeds the float64 range")
+                return value
+            deficit = mpmath.log10(max_mag / abs(total)) if abs(total) > 0 else dps
+            dps = int(dps + max(10, float(deficit) + 15))
+    raise ConvergenceError(
+        f"{label} could not reach target precision in the extended branch"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Mittag-Leffler
 
 
@@ -170,7 +346,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     mpmath therefore runs only outside the float64 budget where the
     contour does not serve (positive z, or alpha > 2) or its estimate
     fails, such as for values far below the contour's rounding level
-    (E_{1,1}(-99) = e^-99).
+    (E_{1,1}(-99) = e^-99).  A value beyond the float64 range, such as
+    E_{1/2,1}(30) = 1.5e391, raises NonFiniteError.
     """
     alpha = float(alpha)
     beta = float(beta)
@@ -181,8 +358,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         raise DomainError(
             f"mittag_leffler supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
-    value, max_mag, status, rounding = _ml_float(alpha, beta, z)
-    if _float_accepted(z, value, max_mag, status == "converged", rounding):
+    value, accepted = _series_float(z, ((alpha, beta),), deep=z < _DEEP)
+    if accepted:
         return value
     if z < 0.0:
         values, est = _ml_contour(alpha, [beta], [z])
@@ -194,91 +371,10 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     return _ml_extended(alpha, beta, z)
 
 
-def _float_accepted(z, value, max_mag, converged, rounding):
-    """Tier 1's acceptance rule, for one entry or entrywise for arrays.
-
-    The float64 series vouches for its value when it met the tail rule
-    within the cancellation budget and, below _DEEP, where its terms grow
-    far past the result before they decay, within its summed rounding
-    bound too.  `rounding` is None where no entry lies below _DEEP.
-    """
-    size = abs(value)
-    accepted = converged & (max_mag <= _CANCEL_LIMIT * size)
-    if rounding is None:
-        return accepted
-    return accepted & ((z >= _DEEP) | (_EPS * rounding <= _CONTOUR_TOL * size))
-
-
-def _ml_float(alpha: float, beta: float, z: float):
-    total = 0.0
-    comp = 0.0
-    max_mag = 0.0
-    rounding = 0.0
-    # the rounding bound is only consulted below _DEEP
-    deep = z < _DEEP
-    zn = 1.0
-    for n in range(MAX_TERMS):
-        x = alpha * n + beta
-        if x > _GAMMA_OVERFLOW and max_mag > 0.0:
-            # 1/Gamma underflows to 0 from here on, which would end the
-            # sum whether or not its terms have decayed
-            return total, max_mag, "exhausted", rounding
-        term = zn * reciprocal_gamma(x)
-        if not math.isfinite(term):
-            return total, max_mag, "overflow", rounding
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if deep:
-            rounding += abs(term) * (n + abs(x) + 4.0)
-        mag = abs(total)
-        if mag > max_mag:
-            max_mag = mag
-        if n >= _MIN_TERMS and x > 0.0 and abs(term) <= _TAIL * max_mag:
-            return total, max_mag, "converged", rounding if deep else None
-        zn *= z
-    return total, max_mag, "exhausted", rounding if deep else None
-
-
 def _ml_extended(alpha: float, beta: float, z: float) -> float:
-    """mpmath recomputation at a precision adapted to the cancellation."""
-    dps = 30
-    for _ in range(8):
-        with mpmath.workdps(dps):
-            a = mpmath.mpf(alpha)
-            b = mpmath.mpf(beta)
-            x = mpmath.mpf(z)
-            tail = mpmath.mpf(10) ** (-dps)
-            total = mpmath.mpf(0)
-            max_mag = mpmath.mpf(0)
-            xn = mpmath.mpf(1)
-            converged = False
-            for n in range(MAX_TERMS_EXTENDED):
-                term = xn * mpmath.rgamma(a * n + b)
-                total += term
-                mag = abs(total)
-                if mag > max_mag:
-                    max_mag = mag
-                if n >= _MIN_TERMS and a * n + b > 0 and abs(term) <= tail * max_mag:
-                    converged = True
-                    break
-                xn *= x
-            if not converged:
-                raise ConvergenceError(
-                    f"mittag_leffler({alpha!r}, {beta!r}, {z!r}) did not meet "
-                    f"the tail criterion within {MAX_TERMS_EXTENDED} terms"
-                )
-            # precision is adequate once the accumulated rounding floor sits
-            # at least ~13 digits below the result
-            if max_mag == 0 or abs(total) > mpmath.mpf(10) ** (13 - dps) * max_mag:
-                return float(total)
-            deficit = mpmath.log10(max_mag / abs(total)) if abs(total) > 0 else dps
-            dps = int(dps + max(10, float(deficit) + 15))
-    raise ConvergenceError(
-        f"mittag_leffler({alpha!r}, {beta!r}, {z!r}) could not reach target "
-        "precision in the extended branch"
-    )
+    """Mittag-Leffler's entry into the mpmath tier; every escalation ends here."""
+    return _series_mp(lambda: (mpmath.mpf(z), 1), ((alpha, beta),),
+                      f"mittag_leffler({alpha!r}, {beta!r}, {z!r})")
 
 
 # Contour integral for z < 0 (Garrappa, SIAM J. Numer. Anal. 53, 2015;
@@ -524,11 +620,9 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
 
     Vectorized companion of mittag_leffler with the same three tiers,
     decided entry by entry: the float64 series, summed for the whole grid
-    until every entry meets the tail rule and judged by the scalar
-    path's `_float_accepted`; then one batched `_ml_contour` call for the
-    negative-z entries it cannot vouch for (alpha <= 2); then mpmath for
-    the entries whose contour estimate fails.  Positive-z entries outside
-    the float64 budget take the scalar path.
+    and judged by the scalar path's rule; then one batched `_ml_contour`
+    call for the negative-z entries it cannot vouch for (alpha <= 2);
+    then mpmath for every entry still rejected.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -537,55 +631,10 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if zs.size and np.max(np.abs(zs)) > ML_RANGE:
         raise DomainError(f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}")
-    nb, nz = betas.size, zs.size
-    total = np.zeros((nb, nz))
-    if nb == 0 or nz == 0:
-        return total
-    comp = np.zeros((nb, nz))
-    max_mag = np.zeros((nb, nz))
-    # the rounding bound is only consulted below _DEEP
-    deep = zs < _DEEP
-    any_deep = bool(deep.any())
-    rounding = np.zeros((nb, int(deep.sum())))
-    tail = np.zeros((nb, nz), dtype=bool)
-    cut = np.zeros((nb, nz), dtype=bool)
-    zn = np.ones(nz)
-    # overflow is detected below and ends the sweep, so the intermediate
-    # powers may saturate without warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(MAX_TERMS):
-            x = alpha * n + betas
-            if x.max() > _GAMMA_OVERFLOW:
-                # 1/Gamma underflows to 0 from here on, so no later tail
-                # test counts for a sum still under way; past its tail
-                # point an entry's terms only shrink, so one whose last
-                # term met the rule has converged, as the scalar loop
-                # would have returned
-                cut |= (x > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0) & ~tail
-            rg = np.array([reciprocal_gamma(v) for v in x])
-            term = np.outer(rg, zn)
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            np.maximum(max_mag, np.abs(total), out=max_mag)
-            if any_deep:
-                rounding += np.abs(term[:, deep]) * (n + np.abs(x) + 4.0)[:, None]
-            if n >= _MIN_TERMS and alpha * n + np.min(betas) > 0.0:
-                # an entry whose last term meets the tail rule has converged
-                tail = np.abs(term) <= _TAIL * max_mag
-                if np.all(tail):
-                    break
-            zn = zn * zs
-            if not np.all(np.isfinite(zn)):
-                break
-        if any_deep:
-            full = np.zeros((nb, nz))
-            full[:, deep] = rounding
-            rounding = full
-        else:
-            rounding = None
-        risky = ~_float_accepted(zs, total, max_mag, tail & ~cut, rounding)
+    if betas.size == 0 or zs.size == 0:
+        return np.zeros((betas.size, zs.size))
+    total, accepted = _series_grid(zs, ((alpha, betas),), deep=zs < _DEEP)
+    risky = ~accepted
     rows, cols = np.nonzero(risky & (zs < 0.0)[None, :])
     if rows.size:
         values, est = _ml_contour(alpha, betas[rows], zs[cols])
@@ -593,8 +642,7 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
         total[rows[good], cols[good]] = values[good]
         risky[rows[good], cols[good]] = False
     for i, j in np.argwhere(risky):
-        b, z = float(betas[i]), float(zs[j])
-        total[i, j] = _ml_extended(alpha, b, z) if z < 0.0 else mittag_leffler(alpha, b, z)
+        total[i, j] = _ml_extended(alpha, float(betas[i]), float(zs[j]))
     return total
 
 
@@ -613,7 +661,8 @@ def generalized_struve(spec: SeriesSpec, z: float) -> float:
     z = float(z)
     if z < 0.0:
         raise DomainError(f"generalized_struve requires z >= 0, got {z!r}")
-    return _struve_series(spec.lam, spec.alpha, spec.mu, spec.sigma, spec.order, z, -1.0)
+    gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
+    return _struve_series(gammas, spec.order, z, -1.0)
 
 
 def struve_h(v: float, z: float) -> float:
@@ -624,7 +673,7 @@ def struve_h(v: float, z: float) -> float:
         raise DomainError(f"struve_h requires v > -1, got {v!r}")
     if z < 0.0:
         raise DomainError(f"struve_h requires z >= 0, got {z!r}")
-    return _struve_series(1.0, 1.0, 1.5, v + 1.5, v, z, -1.0)
+    return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, -1.0)
 
 
 def struve_l(v: float, z: float) -> float:
@@ -639,55 +688,20 @@ def struve_l(v: float, z: float) -> float:
         raise DomainError(f"struve_l requires v > -1, got {v!r}")
     if z < 0.0:
         raise DomainError(f"struve_l requires z >= 0, got {z!r}")
-    return _struve_series(1.0, 1.0, 1.5, v + 1.5, v, z, 1.0)
+    return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, 1.0)
 
 
-def _struve_series(
-    lam: float,
-    alpha: float,
-    mu: float,
-    sigma: float,
-    order: float,
-    z: float,
-    sign: float,
-) -> float:
+def _struve_series(gammas, order: float, z: float, sign: float) -> float:
+    """Struve-type series, gammas ((alpha, mu), (lam, sigma)); sign -1 for H, +1 for L."""
     if z == 0.0:
         # order > -1 makes the prefactor vanish
         return 0.0
     half = 0.5 * z
-    w = half * half
-    total = 0.0
-    comp = 0.0
-    max_mag = 0.0
-    wk = 1.0
-    status = "exhausted"
-    for k in range(MAX_TERMS):
-        term = (sign ** k) * wk * reciprocal_gamma(alpha * k + mu) * reciprocal_gamma(
-            lam * k + sigma
-        )
-        if not math.isfinite(term):
-            status = "overflow"
-            break
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        mag = abs(total)
-        if mag > max_mag:
-            max_mag = mag
-        if (
-            k >= _MIN_TERMS
-            and alpha * k + mu > 0.0
-            and lam * k + sigma > 0.0
-            and abs(term) <= _TAIL * max_mag
-        ):
-            status = "converged"
-            break
-        wk *= w
-    if status != "converged" or max_mag > _CANCEL_LIMIT * abs(total):
+    total, accepted = _series_float(sign * (half * half), gammas)
+    if not accepted:
         # overflow, cancellation, or slow decay past the float-path term
         # cap: recompute with wide exponents and adaptive precision
-        return _struve_extended(lam, alpha, mu, sigma, order, z, sign)
+        return _struve_extended(gammas, order, z, sign)
     try:
         prefactor = half ** (order + 1.0)
     except OverflowError:
@@ -700,68 +714,22 @@ def _struve_series(
     return value
 
 
-def _struve_extended(
-    lam: float,
-    alpha: float,
-    mu: float,
-    sigma: float,
-    order: float,
-    z: float,
-    sign: float,
-) -> float:
-    dps = 30
-    for _ in range(8):
-        with mpmath.workdps(dps):
-            half = mpmath.mpf(z) / 2
-            w = half * half
-            tail = mpmath.mpf(10) ** (-dps)
-            total = mpmath.mpf(0)
-            max_mag = mpmath.mpf(0)
-            wk = mpmath.mpf(1)
-            converged = False
-            for k in range(MAX_TERMS_EXTENDED):
-                term = (
-                    mpmath.mpf(sign) ** k
-                    * wk
-                    * mpmath.rgamma(mpmath.mpf(alpha) * k + mu)
-                    * mpmath.rgamma(mpmath.mpf(lam) * k + sigma)
-                )
-                total += term
-                mag = abs(total)
-                if mag > max_mag:
-                    max_mag = mag
-                if (
-                    k >= _MIN_TERMS
-                    and alpha * k + mu > 0.0
-                    and lam * k + sigma > 0.0
-                    and abs(term) <= tail * max_mag
-                ):
-                    converged = True
-                    break
-                wk *= w
-            if not converged:
-                raise ConvergenceError(
-                    f"Struve-type series at z={z!r} did not meet the tail "
-                    f"criterion within {MAX_TERMS_EXTENDED} terms"
-                )
-            if max_mag == 0 or abs(total) > mpmath.mpf(10) ** (13 - dps) * max_mag:
-                value = float(total * half ** (mpmath.mpf(order) + 1))
-                if not math.isfinite(value):
-                    raise NonFiniteError(
-                        f"Struve-type series value at z={z!r} exceeds the "
-                        "float64 range"
-                    )
-                return value
-            deficit = mpmath.log10(max_mag / abs(total)) if abs(total) > 0 else dps
-            dps = int(dps + max(10, float(deficit) + 15))
-    raise ConvergenceError(
-        f"Struve-type series at z={z!r} could not reach target precision in "
-        "the extended branch"
-    )
+def _struve_extended(gammas, order: float, z: float, sign: float) -> float:
+    """The Struve family's entry into the mpmath tier."""
+
+    def setup():
+        half = mpmath.mpf(z) / 2
+        return sign * half * half, half ** (mpmath.mpf(order) + 1)
+
+    return _series_mp(setup, gammas, f"Struve-type series at z={z!r}")
 
 
 def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
-    """generalized_struve evaluated over an array of points z >= 0."""
+    """generalized_struve evaluated over an array of points z >= 0.
+
+    The float64 series runs for the whole array; each entry it cannot
+    vouch for goes to mpmath alone.
+    """
     if not isinstance(spec, SeriesSpec):
         raise DomainError("generalized_struve_grid expects a SeriesSpec")
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
@@ -770,42 +738,13 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     if np.min(zs) < 0.0:
         raise DomainError("generalized_struve_grid requires z >= 0")
     half = 0.5 * zs
-    w = half * half
-    total = np.zeros_like(zs)
-    comp = np.zeros_like(zs)
-    max_mag = np.zeros_like(zs)
-    wk = np.ones_like(zs)
-    converged = False
-    overflowed = False
-    for k in range(MAX_TERMS):
-        coeff = ((-1.0) ** k) * reciprocal_gamma(
-            spec.alpha * k + spec.mu
-        ) * reciprocal_gamma(spec.lam * k + spec.sigma)
-        term = coeff * wk
-        if not np.all(np.isfinite(term)):
-            overflowed = True
-            break
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        np.maximum(max_mag, np.abs(total), out=max_mag)
-        if (
-            k >= _MIN_TERMS
-            and spec.alpha * k + spec.mu > 0.0
-            and spec.lam * k + spec.sigma > 0.0
-            and np.all(np.abs(term) <= _TAIL * max_mag)
-        ):
-            converged = True
-            break
-        wk = wk * w
-    with np.errstate(invalid="ignore"):
-        value = np.where(zs > 0.0, half ** (spec.order + 1.0), 0.0) * total
-    risky = (not converged) | overflowed | (max_mag > _CANCEL_LIMIT * np.abs(total))
-    if np.ndim(risky) == 0:
-        risky = np.full(zs.shape, bool(risky))
-    for (j,) in np.argwhere(risky):
-        value[j] = generalized_struve(spec, float(zs[j]))
+    gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
+    total, accepted = _series_grid(-(half * half), [(a, [b]) for a, b in gammas])
+    # rejected entries are replaced below; the finite check comes last
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.where(zs > 0.0, half ** (spec.order + 1.0), 0.0) * total[0]
+    for j in np.flatnonzero(~accepted[0]):
+        value[j] = _struve_extended(gammas, spec.order, float(zs[j]), -1.0)
     if not np.all(np.isfinite(value)):
         raise NonFiniteError("Struve-type series value exceeds the float64 range")
     return value

@@ -140,7 +140,8 @@ def check_rl_rule(
                 out[i] = 0.0
                 continue
             grid = Grid.uniform(t_end / grid_size, float(t_end), grid_size)
-            samples = np.concatenate(([_limit_at_zero(f)], _sample(f, grid.array)))
+            origin = _limit_at_zero(f, float(grid.array[0]))
+            samples = np.concatenate(([origin], _sample(f, grid.array)))
             out[i] = rl_integral_grid(grid, samples, v, grid_size - 1)
         return out
 
@@ -149,15 +150,29 @@ def check_rl_rule(
     return abs(left - right)
 
 
-def _limit_at_zero(f) -> float:
-    """Sample value at s=0: f(0) where it is finite, else 0.0.
+def _limit_at_zero(f, first: float = 1.0) -> float:
+    """Sample value at s=0: f(0) where it is finite, else f's limit there.
 
-    This is the origin convention of the residual checks in `verify`: an
-    integrable singularity at the origin is pinned to 0.0, and the
-    first-panel error that leaves shrinks as the grid refines.
+    Where f(0) raises or is not finite, f is probed at p = 1e-8 `first`
+    and at 2p, far below the first grid point `first`.  A removable
+    singularity, such as that of sin(t)/t, shows the same value at both,
+    to 1e-8, and that value is used.  Otherwise the origin convention of
+    the residual checks in `verify` holds: an integrable singularity at
+    the origin is pinned to 0.0, and the first-panel error that leaves
+    shrinks as the grid refines.
     """
     try:
         val = float(f(0.0))
     except (ZeroDivisionError, ValueError, OverflowError):
+        val = math.nan
+    if math.isfinite(val):
+        return val
+    p = 1e-8 * first
+    try:
+        near, far = float(f(p)), float(f(2.0 * p))
+    except (ZeroDivisionError, ValueError, OverflowError):
         return 0.0
-    return val if math.isfinite(val) else 0.0
+    # a non-finite far value fails the comparison
+    if math.isfinite(near) and abs(near - far) <= 1e-8 * abs(near):
+        return near
+    return 0.0

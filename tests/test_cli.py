@@ -188,6 +188,13 @@ class TestExitCodes:
         assert out.returncode == 3
         assert "grid points must be finite" in out.stderr
 
+    def test_overflow_is_3(self):
+        # E_{1/2,1}(30) = 1.5e391: an error, not an inf row
+        out = run_cli("eval-mlf", "--alpha", "0.5", "--beta", "1", "--z", "30")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "float64 range" in out.stderr
+
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",
                       "--z", "200")

@@ -7,6 +7,7 @@ summed with mpmath).
 
 import math
 import random
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +127,13 @@ class TestMittagLeffler:
     def test_range_limit_raises(self):
         with pytest.raises(DomainError):
             mittag_leffler(1.0, 1.0, 100.5)
+
+    def test_overflow_raises(self):
+        # E_{1/2,1}(30) = 1.5e391 lies past the float64 range, in every tier
+        with pytest.raises(NonFiniteError):
+            mittag_leffler(0.5, 1.0, 30.0)
+        with pytest.raises(NonFiniteError):
+            mittag_leffler_grid(0.5, [1.0], [1.0, 30.0])
 
     def test_deep_negative_cancellation(self):
         # exp(-99) ~ 1e-43: a raw float sum would lose every digit
@@ -415,12 +423,45 @@ class TestGeneralizedStruve:
                     struve_h(v, z), rel=1e-12, abs=1e-15)
 
     def test_grid_matches_scalar(self):
-        spec = SeriesSpec(lam=1.7, alpha=0.8, mu=1.2, order=0.3)
-        zs = np.array([0.0, 0.5, 2.0, 9.0])
-        vals = generalized_struve_grid(spec, zs)
-        for z, val in zip(zs, vals):
-            assert val == pytest.approx(generalized_struve(spec, float(z)),
-                                        rel=1e-12, abs=1e-300)
+        # the second spec decays slowly: from z = 5 on, its entries cancel
+        # past the float64 budget and escalate to mpmath one by one (at
+        # z = 15 one mpmath evaluation takes seconds, so the test stops
+        # at 12)
+        for spec, zs in (
+            (SeriesSpec(lam=1.7, alpha=0.8, mu=1.2, order=0.3),
+             np.array([0.0, 0.5, 2.0, 9.0, 12.0, 20.0])),
+            (SeriesSpec(lam=0.31, alpha=0.43, mu=0.67, order=0.3),
+             np.array([0.0, 0.5, 2.0, 5.0, 9.0, 12.0])),
+        ):
+            vals = generalized_struve_grid(spec, zs)
+            for z, val in zip(zs, vals):
+                assert val == pytest.approx(generalized_struve(spec, float(z)),
+                                            rel=1e-12, abs=1e-300)
+
+    def test_grid_escalates_entry_by_entry(self, monkeypatch):
+        calls = []
+        original = sf._struve_extended
+
+        def counted(gammas, order, z, sign):
+            calls.append(z)
+            return original(gammas, order, z, sign)
+
+        monkeypatch.setattr(sf, "_struve_extended", counted)
+        zs = np.array([1.0, 20.0])
+        values = generalized_struve_grid(SeriesSpec.struve(0.5), zs)
+        assert calls == [20.0]
+        # H_{1/2}(z) = sqrt(2 / (pi z)) (1 - cos z)
+        want = np.sqrt(2.0 / (np.pi * zs)) * (1.0 - np.cos(zs))
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+
+    def test_grid_overflow_is_silent(self):
+        # the powers of the z = 300 entry overflow before it escalates
+        zs = np.array([1.0, 300.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = generalized_struve_grid(SeriesSpec.struve(0.5), zs)
+        want = np.sqrt(2.0 / (np.pi * zs)) * (1.0 - np.cos(zs))
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(lam=0.0, alpha=1.0, mu=1.5, order=1.0),

@@ -140,6 +140,13 @@ class TestRLRule:
             assert _limit_at_zero(lambda t: np.float64(t) ** -0.5) == 0.0
         assert check_rl_rule(lambda t: t ** -0.5, 0.5, 1.0) < 0.05
 
+    def test_removable_singularity_uses_its_limit(self):
+        # sin(t)/t raises at the origin; probed just right of it, it shows
+        # its limit 1, where pinning the sample to 0.0 read 1.2e-4
+        sinc = lambda t: math.sin(t) / t
+        assert _limit_at_zero(sinc) == 1.0
+        assert check_rl_rule(sinc, 0.5, 1.0) <= 1e-8
+
     def test_finite_origin_value_is_used(self):
         assert _limit_at_zero(lambda t: 1.0 + t) == 1.0
         assert _limit_at_zero(math.cos) == 1.0

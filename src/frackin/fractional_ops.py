@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,7 +42,7 @@ class Grid:
 
     The origin is not stored: every quadrature that consumes the grid
     supplies an extra sample at s=0, and the panel [0, t_1] is always part
-    of the integration range.  `max_spacing` includes that origin panel.
+    of the integration range.
     """
 
     points: tuple[float, ...]
@@ -89,15 +88,10 @@ class Grid:
     def n(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def max_spacing(self) -> float:
-        arr = self.array
-        return float(max(arr[0], np.max(np.diff(arr))))
-
     def refine(self) -> "Grid":
         """New grid with every panel midpoint inserted, origin panel included.
 
-        Halves max_spacing; used by verification to separate quadrature
+        Halves every panel; used by verification to separate quadrature
         error (which shrinks) from structural error (which does not).
         """
         arr = self.array

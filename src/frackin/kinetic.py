@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .special_functions import (
-    _EVAL_CANCEL,
     SeriesSpec,
     gamma,
     mittag_leffler,
@@ -55,6 +54,9 @@ __all__ = [
 MAX_SOLUTION_TERMS = 200
 _EVAL_TAIL = 1e-14
 _EPS = float(np.finfo(float).eps)
+# largest rounding bound, eps times the largest magnitude summed, accepted
+# against the largest value the sum certifies
+_EVAL_CANCEL = 1e-10
 
 
 class Forcing(enum.Enum):
@@ -103,6 +105,11 @@ class KineticProblem:
             raise DomainError(f"rate d must be positive, got {self.d!r}")
         if not self.relax > 0.0:
             raise DomainError(f"relaxation rate must be positive, got {self.relax!r}")
+        if not all(map(math.isfinite, (self.d, self.relax, self.n0))):
+            raise DomainError(
+                f"d, relax and n0 must be finite, got {self.d!r}, {self.relax!r}, "
+                f"{self.n0!r}"
+            )
 
     @classmethod
     def plain_time(
@@ -369,6 +376,8 @@ def haubold_solution(c: float, v: float, t: float, n0: float = 1.0) -> float:
     c = float(c)
     v = float(v)
     t = float(t)
+    if not math.isfinite(n0):
+        raise DomainError(f"haubold_solution requires a finite n0, got {n0!r}")
     if not c > 0.0:
         raise DomainError(f"haubold_solution requires c > 0, got {c!r}")
     if not v > 0.0:
@@ -384,6 +393,8 @@ def haubold_series(c: float, v: float, n0: float = 1.0) -> SolutionSeries:
     """The baseline solution as a single-term SolutionSeries."""
     c = float(c)
     v = float(v)
+    if not math.isfinite(n0):
+        raise DomainError(f"haubold_series requires a finite n0, got {n0!r}")
     if not c > 0.0:
         raise DomainError(f"haubold_series requires c > 0, got {c!r}")
     if not 0.0 < v <= 2.0:

@@ -3,8 +3,10 @@
 Both families are power series in one argument with reciprocal-gamma
 coefficients, E_{a,b}(z) = sum_n z^n / Gamma(a n + b) and
 H(z) = (z/2)^(l+1) sum_k (-(z/2)^2)^k / (Gamma(alpha k + mu) Gamma(lam k + sigma)),
-and one engine sums both.  Each value comes from the first tier whose
-own a-posteriori estimate vouches for it:
+and one engine sums both.  Its three kernels, `_series_float`,
+`_series_grid` and `_series_mp`, are the module's only summation loops.
+Each value comes from the first tier whose own a-posteriori estimate
+vouches for it:
 
 1. The float64 series: `_series_float` for one argument, `_series_grid`
    for a grid.  Both sum with compensated (Kahan) accumulation until a
@@ -54,17 +56,16 @@ _TAIL = 1e-16
 _CANCEL_LIMIT = 1e3
 ML_RANGE = 100.0
 # below this argument the float64 Mittag-Leffler series must also pass its
-# rounding bound; past _GAMMA_OVERFLOW, 1/Gamma underflows to zero
+# rounding bound; past _GAMMA_OVERFLOW, and below _GAMMA_TINY where Gamma
+# overflows, 1/Gamma underflows to zero
 _DEEP = -10.0
 _GAMMA_OVERFLOW = 171.6
+_GAMMA_TINY = 1.0 / sys.float_info.max
 # largest relative error estimate a float64 result below _DEEP or a
 # contour result is accepted with
 _CONTOUR_TOL = 1e-12
 _EPS = sys.float_info.epsilon
 _LOG_EPS = math.log(_EPS)
-# largest rounding bound, eps times the largest magnitude summed, accepted
-# against the largest value the sum certifies (here and in kinetic)
-_EVAL_CANCEL = 1e-10
 
 __all__ = [
     "SeriesSpec",
@@ -91,6 +92,8 @@ def gamma(x: float) -> float:
     integer raise PoleError.
     """
     x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"gamma argument must be finite, got {x!r}")
     nearest = round(x)
     if nearest <= 0 and abs(x - nearest) <= 1e-12:
         raise PoleError(f"gamma pole at non-positive integer, x={x!r}")
@@ -100,6 +103,11 @@ def gamma(x: float) -> float:
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x), entire in x: exactly 0.0 at non-positive integers."""
     x = float(x)
+    if _GAMMA_TINY < x < _GAMMA_OVERFLOW:
+        # the common case first, on the same arithmetic as below
+        return 1.0 / math.gamma(x)
+    if not math.isfinite(x):
+        raise DomainError(f"gamma argument must be finite, got {x!r}")
     if x == round(x) and x <= 0.0:
         return 0.0
     try:
@@ -132,14 +140,13 @@ class SeriesSpec:
     sigma: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "order", float(self.order))
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", self.order + 1.5)
-        else:
-            object.__setattr__(self, "sigma", float(self.sigma))
+        for name in ("lam", "alpha", "mu", "order"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        sigma = self.order + 1.5 if self.sigma is None else float(self.sigma)
+        object.__setattr__(self, "sigma", sigma)
+        finite = (self.lam, self.alpha, self.mu, self.order, sigma)
+        if not all(map(math.isfinite, finite)):
+            raise DomainError(f"series parameters must be finite, got {self!r}")
         if not (self.lam > 0.0):
             raise DomainError(f"series slope lam must be positive, got {self.lam!r}")
         if not (self.alpha > 0.0):
@@ -354,7 +361,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     z = float(z)
     if not alpha > 0.0:
         raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha!r}")
-    if abs(z) > ML_RANGE:
+    if not abs(z) <= ML_RANGE:
         raise DomainError(
             f"mittag_leffler supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
@@ -629,7 +636,7 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
         raise DomainError(f"mittag_leffler_grid requires alpha > 0, got {alpha!r}")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if zs.size and np.max(np.abs(zs)) > ML_RANGE:
+    if zs.size and not np.max(np.abs(zs)) <= ML_RANGE:
         raise DomainError(f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}")
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
@@ -667,13 +674,7 @@ def generalized_struve(spec: SeriesSpec, z: float) -> float:
 
 def struve_h(v: float, z: float) -> float:
     """Struve function H_v(z) for real v > -1 and z >= 0."""
-    v = float(v)
-    z = float(z)
-    if v <= -1.0:
-        raise DomainError(f"struve_h requires v > -1, got {v!r}")
-    if z < 0.0:
-        raise DomainError(f"struve_h requires z >= 0, got {z!r}")
-    return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, -1.0)
+    return _classical_struve("struve_h", v, z, -1.0)
 
 
 def struve_l(v: float, z: float) -> float:
@@ -682,13 +683,17 @@ def struve_l(v: float, z: float) -> float:
     The value grows like e^z, so large z raises NonFiniteError once terms
     leave the float64 range.
     """
+    return _classical_struve("struve_l", v, z, 1.0)
+
+
+def _classical_struve(name: str, v: float, z: float, sign: float) -> float:
     v = float(v)
     z = float(z)
-    if v <= -1.0:
-        raise DomainError(f"struve_l requires v > -1, got {v!r}")
+    if not v > -1.0:
+        raise DomainError(f"{name} requires v > -1, got {v!r}")
     if z < 0.0:
-        raise DomainError(f"struve_l requires z >= 0, got {z!r}")
-    return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, 1.0)
+        raise DomainError(f"{name} requires z >= 0, got {z!r}")
+    return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, sign)
 
 
 def _struve_series(gammas, order: float, z: float, sign: float) -> float:
@@ -696,6 +701,8 @@ def _struve_series(gammas, order: float, z: float, sign: float) -> float:
     if z == 0.0:
         # order > -1 makes the prefactor vanish
         return 0.0
+    if not z < math.inf:
+        raise DomainError(f"Struve-type series requires a finite z, got {z!r}")
     half = 0.5 * z
     total, accepted = _series_float(sign * (half * half), gammas)
     if not accepted:
@@ -735,8 +742,8 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if zs.size == 0:
         return np.zeros(0)
-    if np.min(zs) < 0.0:
-        raise DomainError("generalized_struve_grid requires z >= 0")
+    if not (np.min(zs) >= 0.0 and np.max(zs) < math.inf):
+        raise DomainError("generalized_struve_grid requires finite z >= 0")
     half = 0.5 * zs
     gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
     total, accepted = _series_grid(-(half * half), [(a, [b]) for a, b in gammas])
@@ -753,72 +760,35 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
 def struve_h_with_derivatives(v: float, z: float) -> tuple[float, float, float]:
     """H_v(z) together with its first two derivatives in z.
 
-    All three values come from term-wise differentiation of the defining
-    series, truncated jointly once every differentiated term falls below
-    the tail threshold.  The series alternates, and has no
-    extended-precision rescue: ConvergenceError is raised where eps times
-    the largest partial sum of the three exceeds 1e-10 of the largest
-    of |H|, |H'| and |H''| (the rule `kinetic` certifies solution sums
-    with).  For v in [0, 2) the bound reads at most 4.7e-14 of the
-    values up to z = 8 and 3.3e-11 at z = 15, and fails at z = 20.
+    With u = z/2 and w = -u^2, three raw sums of the series engine,
+    S = sum_k w^k / (Gamma(k+3/2) Gamma(k+v+3/2)), A (S with Gamma(k+v+5/2))
+    and B (A with Gamma(k+5/2)), give H = u^(v+1) S,
+    H' = u^v [(v+1) S/2 - u^2 (A - B/2)] and
+    H'' = u^(v-1) [v(v+1) S/4 - u^2 (S - (A + v B)/2)]: the weights
+    (2k+v+1) and (2k+v+1)(2k+v) of the differentiated terms split into
+    shifts of the gammas.  Nothing cancels near z = 0 or v = 0, where the
+    exact factor v(v+1) makes H'' vanish.  Each sum has the engine's
+    mpmath rescue, so H is `struve_h(v, z)` bit for bit where float64
+    serves S; at large z a call costs about three `struve_h` calls
+    (seconds from z = 1000).  Past the float64 range: NonFiniteError.
     """
     v = float(v)
     z = float(z)
-    if v <= -1.0:
+    if not v > -1.0:
         raise DomainError(f"struve_h_with_derivatives requires v > -1, got {v!r}")
-    if z <= 0.0:
-        raise DomainError(
-            f"struve_h_with_derivatives requires z > 0 for the derivative "
-            f"series, got {z!r}"
-        )
-    half = 0.5 * z
-    w = half * half
-    t0 = c0 = m0 = 0.0
-    t1 = c1 = m1 = 0.0
-    t2 = c2 = m2 = 0.0
-    wk = 1.0
-    for k in range(MAX_TERMS):
-        p = 2.0 * k + v + 1.0
-        coeff = ((-1.0) ** k) * reciprocal_gamma(k + 1.5) * reciprocal_gamma(k + v + 1.5)
-        base = coeff * wk * half ** (v + 1.0)
-        term0 = base
-        term1 = base * p / z
-        term2 = base * p * (p - 1.0) / (z * z)
-        if not (math.isfinite(term0) and math.isfinite(term1) and math.isfinite(term2)):
-            raise NonFiniteError(
-                f"Struve derivative series at z={z!r} exceeds the float64 range"
-            )
-        y = term0 - c0
-        s = t0 + y
-        c0 = (s - t0) - y
-        t0 = s
-        y = term1 - c1
-        s = t1 + y
-        c1 = (s - t1) - y
-        t1 = s
-        y = term2 - c2
-        s = t2 + y
-        c2 = (s - t2) - y
-        t2 = s
-        m0 = max(m0, abs(t0))
-        m1 = max(m1, abs(t1))
-        m2 = max(m2, abs(t2))
-        if (
-            k >= _MIN_TERMS
-            and abs(term0) <= _TAIL * m0
-            and abs(term1) <= _TAIL * m1
-            and abs(term2) <= _TAIL * m2
-        ):
-            size = max(abs(t0), abs(t1), abs(t2))
-            if _EPS * max(m0, m1, m2) > _EVAL_CANCEL * size:
-                raise ConvergenceError(
-                    f"Struve derivative series at z={z!r} cancels: partial "
-                    f"sums up to {max(m0, m1, m2):.3g} against values of at "
-                    f"most {size:.3g}"
-                )
-            return t0, t1, t2
-        wk *= w
-    raise ConvergenceError(
-        f"Struve derivative series at z={z!r} did not meet the tail criterion "
-        f"within {MAX_TERMS} terms"
-    )
+    if not z > 0.0:
+        raise DomainError(f"struve_h_with_derivatives requires z > 0, got {z!r}")
+    s, a, b = (_struve_series(((1.0, mu), (1.0, v + sigma)), -1.0, z, -1.0)
+               for mu, sigma in ((1.5, 1.5), (1.5, 2.5), (2.5, 2.5)))
+    u = 0.5 * z
+    u2 = u * u
+    try:
+        values = (u ** (v + 1.0) * s,
+                  u ** v * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),
+                  u ** (v - 1.0) * (v * (v + 1.0) * s / 4.0 - u2 * (s - (a + v * b) / 2.0)))
+    except (OverflowError, ZeroDivisionError):
+        # a power of u past the float64 range, or of an underflowed u
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteError(f"Struve derivatives at z={z!r} exceed the float64 range")
+    return values

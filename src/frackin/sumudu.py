@@ -32,6 +32,8 @@ __all__ = ["TransformPoint", "sumudu_numeric", "sumudu_power", "check_rl_rule"]
 # half-width of the trapezoid range in the tanh-sinh variable; at this
 # setting the weight tail is below 1e-30 at both ends
 _S_HALF_WIDTH = 4.0
+# points of check_rl_rule's uniform grid per quadrature target
+_RL_GRID_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -108,20 +110,14 @@ def sumudu_power(a: float, u: float) -> float:
     return u ** a * gamma(a + 1.0)
 
 
-def check_rl_rule(
-    f,
-    v: float,
-    u: float,
-    node_count: int = 64,
-    grid_size: int = 2048,
-) -> float:
+def check_rl_rule(f, v: float, u: float) -> float:
     """Defect of the operational rule S[I^v f](u) = u^v S[f](u).
 
     The order-v Riemann-Liouville integral of f is computed by product
-    quadrature on a fresh uniform grid per needed time, entirely apart
-    from any transform machinery, and both sides are then evaluated with
-    sumudu_numeric.  Returns |left - right|; small values certify the
-    rule on this f numerically.
+    quadrature on a fresh uniform grid of 2048 points per needed time,
+    entirely apart from any transform machinery, and both sides are then
+    evaluated with sumudu_numeric at its default 64 nodes.  Returns
+    |left - right|; small values certify the rule on this f numerically.
     """
     v = float(v)
     u = float(u)
@@ -129,9 +125,6 @@ def check_rl_rule(
         raise DomainError(f"check_rl_rule requires v in (0, 2], got {v!r}")
     if not 0.0 < u <= 2.0:
         raise DomainError(f"check_rl_rule requires u in (0, 2], got {u!r}")
-    grid_size = int(grid_size)
-    if grid_size < 8:
-        raise DomainError(f"grid_size must be at least 8, got {grid_size}")
 
     def rl_of_f(times: np.ndarray) -> np.ndarray:
         out = np.empty_like(times)
@@ -139,14 +132,14 @@ def check_rl_rule(
             if t_end <= 0.0:
                 out[i] = 0.0
                 continue
-            grid = Grid.uniform(t_end / grid_size, float(t_end), grid_size)
+            grid = Grid.uniform(t_end / _RL_GRID_SIZE, float(t_end), _RL_GRID_SIZE)
             origin = _limit_at_zero(f, float(grid.array[0]))
             samples = np.concatenate(([origin], _sample(f, grid.array)))
-            out[i] = rl_integral_grid(grid, samples, v, grid_size - 1)
+            out[i] = rl_integral_grid(grid, samples, v, _RL_GRID_SIZE - 1)
         return out
 
-    left = sumudu_numeric(rl_of_f, u, node_count).value
-    right = u ** v * sumudu_numeric(f, u, node_count).value
+    left = sumudu_numeric(rl_of_f, u).value
+    right = u ** v * sumudu_numeric(f, u).value
     return abs(left - right)
 
 

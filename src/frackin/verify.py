@@ -21,6 +21,7 @@ grid by grid.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -119,6 +120,11 @@ def _forcing_values(problem: KineticProblem, ts: np.ndarray) -> np.ndarray:
     return problem.n0 * generalized_struve_grid(spec, zs)
 
 
+def _check_tol(tol_rel: float) -> None:
+    if not abs(tol_rel) < math.inf:
+        raise DomainError(f"residual tolerance must be finite, got {tol_rel!r}")
+
+
 def _origin_value(sol: SolutionSeries) -> float:
     """Limit of the series at t -> 0+, used as the quadrature origin sample.
 
@@ -185,7 +191,6 @@ def _reports(
     *,
     refined: bool,
     tol_rel: float,
-    t_cap: float,
     warn: bool,
 ) -> list[ResidualReport]:
     """Residual report of each mode on the grid, then, when `refined`, of
@@ -202,10 +207,11 @@ def _reports(
         raise DomainError("residual expects a KineticProblem")
     if not isinstance(grid, Grid):
         raise DomainError("residual expects a Grid")
-    if grid.points[-1] > t_cap:
+    _check_tol(tol_rel)
+    if grid.points[-1] > DEFAULT_T_CAP:
         raise DomainError(
             f"grid extends to t={grid.points[-1]!r}, beyond the residual "
-            f"window cap {t_cap!r}"
+            f"window cap {DEFAULT_T_CAP!r}"
         )
     grids = (grid, grid.refine()) if refined else (grid,)
     ts = grids[-1].array
@@ -235,12 +241,11 @@ def residual(
     grid: Grid,
     *,
     tol_rel: float = 1e-4,
-    t_cap: float = DEFAULT_T_CAP,
     warn: bool = True,
 ) -> ResidualReport:
     """Substitute the mode's series into the equation on the grid."""
     (report,) = _reports(problem, grid, (mode,), refined=False,
-                         tol_rel=tol_rel, t_cap=t_cap, warn=warn)
+                         tol_rel=tol_rel, warn=warn)
     return report
 
 
@@ -258,7 +263,6 @@ def adjudicate(
     grid: Grid,
     *,
     tol_rel: float = 1e-4,
-    t_cap: float = DEFAULT_T_CAP,
 ) -> AdjudicationResult:
     """Decide which mode solves the equation on this grid.
 
@@ -268,7 +272,7 @@ def adjudicate(
     """
     stated, corrected, stated_fine, corrected_fine = _reports(
         problem, grid, (SolutionMode.STATED, SolutionMode.CORRECTED),
-        refined=True, tol_rel=tol_rel, t_cap=t_cap, warn=False)
+        refined=True, tol_rel=tol_rel, warn=False)
 
     stated_ok = _mode_passes(stated, stated_fine, tol_rel)
     corrected_ok = _mode_passes(corrected, corrected_fine, tol_rel)
@@ -305,6 +309,7 @@ def haubold_residual(
     """
     if not isinstance(grid, Grid):
         raise DomainError("haubold_residual expects a Grid")
+    _check_tol(tol_rel)
     sol = haubold_series(c, v, n0)
     ts = grid.array
     values = eval_solution_grid(sol, ts)

@@ -195,6 +195,27 @@ class TestExitCodes:
         assert out.stdout == ""
         assert "float64 range" in out.stderr
 
+    # the non-finite flag comes last, where the test id reads it
+    @pytest.mark.parametrize("argv", [
+        ["eval-mlf", "--alpha", "1", "--z", "1", "--beta", "nan"],
+        ["eval-mlf", "--alpha", "1", "--beta", "1", "--z", "nan"],
+        ["eval-struve", "--l", "0.5", "--z", "1", "--mu", "nan"],
+        ["eval-struve", "--l", "0.5", "--z", "1", "--sigma", "nan"],
+        ["eval-struve", "--l", "0.5", "--z", "inf"],
+        ["verify", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "64",
+         "--tol", "nan"],
+        ["verify", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "64",
+         "--tol", "inf"],
+        ["solve", "--theorem", "1", "--l", "1", "--v", "0.75", "--n0", "nan"],
+        ["haubold", "--c", "1", "--v", "0.5", "--n0", "nan"],
+    ], ids=lambda argv: f"{argv[0]}:{argv[-2][2:]}={argv[-1]}")
+    def test_non_finite_argument_is_3(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr.startswith("frackin: error:")
+        assert "Traceback" not in out.stderr
+
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",
                       "--z", "200")

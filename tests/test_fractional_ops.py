@@ -71,16 +71,16 @@ class TestGrid:
         assert all(type(p) is float for p in g.points)
         assert g == Grid((0.25, 0.5, 2.0))
 
-    def test_max_spacing_includes_origin_panel(self):
-        g = Grid((3.0, 3.5))
-        # the implicit [0, 3.0] panel dominates
-        assert g.max_spacing == pytest.approx(3.0)
-
     def test_refine_halves_spacing(self):
         g = Grid.uniform(0.2, 1.0, 5)
         f = g.refine()
+
+        def widest(grid):
+            # the implicit origin panel [0, t_1] counts
+            return np.max(np.diff(np.concatenate(([0.0], grid.array))))
+
         assert f.n == 2 * g.n
-        assert f.max_spacing == pytest.approx(g.max_spacing / 2)
+        assert widest(f) == pytest.approx(widest(g) / 2)
         assert set(np.round(g.array, 12)).issubset(set(np.round(f.array, 12)))
 
     def test_array_read_only(self):

@@ -35,6 +35,17 @@ from frackin import (
 )
 
 
+def _derivatives_mp(v, z):
+    """H_v(z), H' = H_{v-1} - (v/z) H, and H'' from the Struve equation."""
+    with mp.workdps(50):
+        v, z = mp.mpf(v), mp.mpf(z)
+        h = mp.struveh(v, z)
+        dh = mp.struveh(v - 1, z) - v / z * h
+        rhs = 4 * (z / 2) ** (v + 1) / (mp.sqrt(mp.pi) * mp.gamma(v + 0.5))
+        ddh = (rhs - z * dh - (z * z - v * v) * h) / (z * z)
+        return [float(h), float(dh), float(ddh)]
+
+
 class TestGamma:
     def test_oracle_value(self):
         assert gamma(3.7) == pytest.approx(
@@ -85,6 +96,24 @@ class TestGamma:
     def test_reciprocal_underflow_becomes_zero(self):
         # Gamma(200) overflows float64, so the reciprocal is a clean zero
         assert reciprocal_gamma(200.0) == 0.0
+
+    def test_reciprocal_positive_is_exact(self):
+        # the positive range takes a fast branch on unchanged arithmetic
+        rng = random.Random(7)
+        xs = list(np.geomspace(6e-309, 171.6, 400, endpoint=False))
+        xs += [rng.uniform(0.0, 171.6) for _ in range(400)]
+        for x in xs:
+            assert reciprocal_gamma(x) == 1.0 / math.gamma(x), x
+        # below about 5.6e-309 and from 171.6 on, Gamma overflows
+        assert reciprocal_gamma(1e-310) == 0.0
+        assert reciprocal_gamma(172.0) == 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, x):
+        with pytest.raises(DomainError):
+            gamma(x)
+        with pytest.raises(DomainError):
+            reciprocal_gamma(x)
 
 
 class TestMittagLeffler:
@@ -553,13 +582,44 @@ class TestStruveDerivatives:
         with pytest.raises(DomainError):
             struve_h_with_derivatives(0.5, 0.0)
 
-    @pytest.mark.parametrize("z", [20.0, 25.0])
-    def test_cancelling_series_raises(self, z):
-        # eps times the largest partial sum passes 1e-10 of the values:
-        # 5.5e-9 at z = 20, v = 1/2; the sum was 2.4e-6 off at z = 25
+    @pytest.mark.parametrize("z", [16.9, 20.0, 25.0, 40.0])
+    def test_served_past_fifteen(self, z):
+        # the old loop was 1.9e-9 off at z = 16.9 and refused z >= 20
         for v in (0.0, 0.5, 1.0, 1.5):
-            with pytest.raises(ConvergenceError, match="cancels"):
-                struve_h_with_derivatives(v, z)
+            want = _derivatives_mp(v, z)
+            size = max(abs(w) for w in want)
+            for g, w in zip(struve_h_with_derivatives(v, z), want):
+                assert abs(g - w) <= 1e-10 * size, (v, z, g, w)
+
+    def test_sweep_against_mpmath(self):
+        # the old loop was 1.9e-9 off at (0.72, 16.9), 8.5e-10 at
+        # (1e-6, 15) and 8.3e-8 in H'' at (1e-9, 1e-9)
+        vs = (-0.99, -0.6, 0.0, 1e-9, 1e-6, 0.3, 0.72, 1.0, 1.5, 1.999)
+        zs = (1e-9, 1e-3, 0.5, 2.0, 8.0, 15.0, 16.9, 30.0)
+        for v, z in [(v, z) for v in vs for z in zs]:
+            want = _derivatives_mp(v, z)
+            size = max(abs(w) for w in want)
+            for g, w in zip(struve_h_with_derivatives(v, z), want):
+                assert abs(g - w) <= 1e-10 * size, (v, z, g, w)
+
+    def test_value_is_struve_h_bit_for_bit(self):
+        # wherever the float64 tier serves S (at z = 12 mpmath does)
+        for v in (-0.6, 0.0, 0.5, 1.3, 1.9):
+            for z in (1e-6, 0.7, 3.0, 8.0):
+                assert struve_h_with_derivatives(v, z)[0] == struve_h(v, z)
+
+    def test_tiny_argument_takes_leading_terms(self):
+        z = 1e-170
+        for v in (0.5, 1.9):
+            c = 2.0 ** (-v - 1) / (math.gamma(1.5) * math.gamma(v + 1.5))
+            want = (c * z ** (v + 1), (v + 1) * c * z ** v,
+                    v * (v + 1) * c * z ** (v - 1))
+            got = struve_h_with_derivatives(v, z)
+            # for v = 1.9, H and H' underflow; H'' is about 2.8e-154
+            for g, w in list(zip(got, want))[(0 if v == 0.5 else 2):]:
+                assert g == pytest.approx(w, rel=1e-12)
+        with pytest.raises(NonFiniteError):
+            struve_h_with_derivatives(-0.9, z)
 
     def test_against_mpmath_at_fifteen(self):
         # H' = H_{v-1} - (v/z) H, and H'' from the Struve equation
@@ -583,3 +643,30 @@ class TestConvergenceGuards:
         # alpha tiny and z near the range edge needs more than the term cap
         with pytest.raises((ConvergenceError, DomainError)):
             mittag_leffler(0.01, 1.0, 99.0)
+
+
+class TestNonFiniteArguments:
+    def test_nan_z_raises(self):
+        spec = SeriesSpec.struve(0.5)
+        calls = [
+            lambda: mittag_leffler(0.75, 1.0, math.nan),
+            lambda: mittag_leffler_grid(0.75, [1.0], [0.5, math.nan]),
+            lambda: struve_h(0.5, math.nan),
+            lambda: struve_h(0.5, math.inf),
+            lambda: generalized_struve_grid(spec, [1.0, math.nan]),
+            lambda: generalized_struve_grid(spec, [1.0, math.inf]),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_nan_parameters_raise(self):
+        with pytest.raises(DomainError):
+            mittag_leffler(0.75, math.nan, 0.5)
+        with pytest.raises(DomainError):
+            struve_h(math.nan, 1.0)
+        for field in ("mu", "sigma"):
+            params = dict(lam=1.0, alpha=1.0, mu=1.5, order=0.5)
+            params[field] = math.nan
+            with pytest.raises(DomainError):
+                SeriesSpec(**params)

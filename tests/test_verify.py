@@ -57,6 +57,16 @@ class TestResidual:
         with pytest.raises(DomainError):
             residual(p, SolutionMode.CORRECTED, g)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_raises(self, tol):
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
+        g = Grid.uniform(2.0 / 64, 2.0, 64)
+        for call in (lambda: residual(p, SolutionMode.CORRECTED, g, tol_rel=tol),
+                     lambda: adjudicate(p, g, tol_rel=tol),
+                     lambda: haubold_residual(1.0, 0.75, g, tol_rel=tol)):
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
     def test_coarse_grid_warns(self):
         p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
         g = Grid.uniform(2.0 / 16, 2.0, 16)

@@ -30,6 +30,7 @@ from .errors import ConvergenceError, DomainError, RangeError
 from .special_functions import (
     SeriesSpec,
     gamma,
+    generalized_struve_grid,
     mittag_leffler,
     mittag_leffler_grid,
     reciprocal_gamma,
@@ -137,6 +138,14 @@ class KineticProblem:
             )
         return cls(spec, Forcing.POWERED, v, d, relax, n0)
 
+    def forcing(self, ts: np.ndarray) -> np.ndarray:
+        """N0*f at an array of times: f(t) = H(t) or H(d^v t^v)."""
+        if self.forcing_argument is Forcing.PLAIN:
+            zs = ts
+        else:
+            zs = (self.d * ts) ** self.v
+        return self.n0 * generalized_struve_grid(self.forcing_spec, zs)
+
 
 @dataclass(frozen=True)
 class SolutionTerm:
@@ -176,6 +185,20 @@ class SolutionSeries:
             raise DomainError("term powers must be strictly increasing")
         if not isinstance(self.mode, SolutionMode):
             raise DomainError("mode must be a SolutionMode value")
+
+    def origin_value(self) -> float:
+        """Limit of the series at t -> 0+, used as the quadrature origin sample.
+
+        Positive powers vanish, zero powers contribute coeff / Gamma(beta).
+        A negative power diverges; the origin sample is then pinned to 0.0,
+        a convention whose first-panel quadrature error vanishes under grid
+        refinement because the integrand stays integrable.
+        """
+        value = 0.0
+        for term in self.terms:
+            if term.power == 0.0:
+                value += term.coeff * reciprocal_gamma(term.ml_beta)
+        return value
 
 
 def _term_parameters(

@@ -782,12 +782,15 @@ def struve_h_with_derivatives(v: float, z: float) -> tuple[float, float, float]:
                for mu, sigma in ((1.5, 1.5), (1.5, 2.5), (2.5, 2.5)))
     u = 0.5 * z
     u2 = u * u
+    # z/2 rounds to 0.0 at the smallest subnormal z, where a negative power
+    # of u would divide by zero: take the powers from z there
+    power = (lambda p: u ** p) if u > 0.0 else (lambda p: z ** p * 0.5 ** p)
     try:
-        values = (u ** (v + 1.0) * s,
-                  u ** v * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),
-                  u ** (v - 1.0) * (v * (v + 1.0) * s / 4.0 - u2 * (s - (a + v * b) / 2.0)))
-    except (OverflowError, ZeroDivisionError):
-        # a power of u past the float64 range, or of an underflowed u
+        values = (power(v + 1.0) * s,
+                  power(v) * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),
+                  power(v - 1.0) * (v * (v + 1.0) * s / 4.0 - u2 * (s - (a + v * b) / 2.0)))
+    except OverflowError:
+        # a power of u past the float64 range
         values = (math.inf,)
     if not all(map(math.isfinite, values)):
         raise NonFiniteError(f"Struve derivatives at z={z!r} exceed the float64 range")

@@ -9,8 +9,17 @@ the STATED and CORRECTED series modes.  A structurally wrong candidate
 leaves a residual that stalls under refinement; a correct one leaves only
 quadrature error, which shrinks.
 
-`adjudicate` does each piece of that work once: it builds each mode's
-series once, and sums it and the forcing once, on the refined grid.
+One loop, `_reports`, serves `residual`, `adjudicate` and
+`haubold_residual`.  It substitutes any candidate, given in parts: a
+builder of each mode's series, N0*f as a function of the times, and the
+rate and order of the memory term.  `kinetic` supplies what the loop
+reads off a problem and a series: the series, the forcing
+(`KineticProblem.forcing`; the baseline's is the constant N0), and the
+series' limit at t -> 0+ (`SolutionSeries.origin_value`), the
+quadrature's origin sample.
+
+The loop does each piece of work once: it builds each mode's series
+once, and sums it and the forcing once, on the refined grid.
 `Grid.refine()` keeps every point of the grid, bit for bit, at its odd
 indices, so the grid's values are every other entry of the refined
 ones.  Each grid's values are still certified at that grid's own scale,
@@ -30,17 +39,13 @@ import numpy as np
 from .errors import DomainError, GridTooCoarse
 from .fractional_ops import Grid, rl_profile
 from .kinetic import (
-    Forcing,
     KineticProblem,
     SolutionMode,
-    SolutionSeries,
     _certified,
     _series_sums,
     build_solution,
-    eval_solution_grid,
     haubold_series,
 )
-from .special_functions import generalized_struve_grid, reciprocal_gamma
 
 __all__ = [
     "Adjudication",
@@ -95,9 +100,14 @@ class AdjudicationResult:
     corrected_refined: ResidualReport
 
 
-def _problem_summary(problem: KineticProblem) -> dict:
+def _candidate(problem: KineticProblem, grid: Grid):
+    """The parts `_reports` substitutes for a kinetic problem on the grid."""
+    if not isinstance(problem, KineticProblem):
+        raise DomainError("residual expects a KineticProblem")
+    if not isinstance(grid, Grid):
+        raise DomainError("residual expects a Grid")
     spec = problem.forcing_spec
-    return {
+    summary = {
         "lam": spec.lam,
         "alpha": spec.alpha,
         "mu": spec.mu,
@@ -109,129 +119,72 @@ def _problem_summary(problem: KineticProblem) -> dict:
         "relax": problem.relax,
         "n0": problem.n0,
     }
+    return (lambda mode: build_solution(problem, mode, t_max=grid.points[-1]),
+            problem.forcing, problem.relax, problem.v, summary)
 
 
-def _forcing_values(problem: KineticProblem, ts: np.ndarray) -> np.ndarray:
-    spec = problem.forcing_spec
-    if problem.forcing_argument is Forcing.PLAIN:
-        zs = ts
-    else:
-        zs = (problem.d * ts) ** problem.v
-    return problem.n0 * generalized_struve_grid(spec, zs)
-
-
-def _check_tol(tol_rel: float) -> None:
-    if not abs(tol_rel) < math.inf:
-        raise DomainError(f"residual tolerance must be finite, got {tol_rel!r}")
-
-
-def _origin_value(sol: SolutionSeries) -> float:
-    """Limit of the series at t -> 0+, used as the quadrature origin sample.
-
-    Positive powers vanish, zero powers contribute coeff / Gamma(beta).
-    A negative power diverges; the origin sample is then pinned to 0.0,
-    a convention whose first-panel quadrature error vanishes under grid
-    refinement because the integrand stays integrable.
-    """
-    value = 0.0
-    for term in sol.terms:
-        if term.power == 0.0:
-            value += term.coeff * reciprocal_gamma(term.ml_beta)
-    return value
-
-
-def _residual_core(
-    values: np.ndarray,
-    origin: float,
-    forcing: np.ndarray,
-    relax: float,
-    v: float,
-    grid: Grid,
-    summary: dict,
-    mode: SolutionMode,
-    tol_rel: float,
-    warn: bool,
-    stacklevel: int = 3,
-) -> ResidualReport:
-    samples = np.concatenate(([origin], values))
-    memory = rl_profile(grid, samples, v)
-    res = values - forcing + relax ** v * memory
-    scale = float(np.max(np.abs(forcing))) if forcing.size else 0.0
-    report = ResidualReport(
-        problem_summary=summary,
-        mode=mode,
-        grid=grid,
-        residual=res,
-        max_abs=float(np.max(np.abs(res))),
-        scale=scale,
-    )
-    if warn and grid.n >= 8:
-        # Richardson check of the quadrature alone: same samples on the
-        # half-resolution subgrid, compared at the shared points.
-        coarse_points = grid.array[1::2]
-        coarse = Grid(tuple(coarse_points))
-        coarse_samples = np.concatenate(([origin], values[1::2]))
-        coarse_memory = rl_profile(coarse, coarse_samples, v)
-        est = float(np.max(np.abs(memory[1::2] - coarse_memory))) / 3.0
-        est *= relax ** v
-        if est > 0.5 * tol_rel * max(scale, 1e-300):
-            warnings.warn(
-                f"quadrature error estimate {est:.3e} exceeds half the "
-                f"residual tolerance {tol_rel * scale:.3e}; refine the grid",
-                GridTooCoarse,
-                stacklevel=stacklevel,
-            )
-    return report
-
-
-def _reports(
-    problem: KineticProblem,
-    grid: Grid,
-    modes: tuple[SolutionMode, ...],
-    *,
-    refined: bool,
-    tol_rel: float,
-    warn: bool,
-) -> list[ResidualReport]:
+def _reports(grid: Grid, modes: tuple[SolutionMode, ...], build, forcing,
+             relax: float, v: float, summary: dict, *, refined: bool = False,
+             tol_rel: float, warn: bool,
+             t_cap: float = math.inf) -> list[ResidualReport]:
     """Residual report of each mode on the grid, then, when `refined`, of
     each mode on `grid.refine()`.
 
-    These are the reports of `residual` called grid by grid and mode by
-    mode, with each piece of work done once (see the module docstring):
-    each series is built once and summed on the finest grid, as is the
-    forcing, and the grid takes every other entry.  Each grid's sums are
-    certified at that grid's own scale, in the order `residual` calls
-    would raise.
+    The candidate comes in parts: `build(mode)` makes a mode's series,
+    `forcing(ts)` gives N0*f at an array of times, and `relax` and `v`
+    make the memory term relax^v * I^v N.  The reports are those of one
+    call per grid and mode, with each piece of work done once (see the
+    module docstring): each series is built once and summed on the
+    finest grid, as is the forcing, and the grid takes every other
+    entry.  Each grid's sums are certified at that grid's own scale, in
+    the order one call per grid and mode would raise.
     """
-    if not isinstance(problem, KineticProblem):
-        raise DomainError("residual expects a KineticProblem")
-    if not isinstance(grid, Grid):
-        raise DomainError("residual expects a Grid")
-    _check_tol(tol_rel)
-    if grid.points[-1] > DEFAULT_T_CAP:
+    if not abs(tol_rel) < math.inf:
+        raise DomainError(f"residual tolerance must be finite, got {tol_rel!r}")
+    if grid.points[-1] > t_cap:
         raise DomainError(
             f"grid extends to t={grid.points[-1]!r}, beyond the residual "
-            f"window cap {DEFAULT_T_CAP!r}"
+            f"window cap {t_cap!r}"
         )
     grids = (grid, grid.refine()) if refined else (grid,)
     ts = grids[-1].array
     levels = (slice(1, None, 2), slice(None)) if refined else (slice(None),)
-    summary = _problem_summary(problem)
     sols, sums = {}, {}
-    forcing = None
+    n0f = None
     reports = []
     for g, level in zip(grids, levels):
         for mode in modes:
             if mode not in sols:
-                sols[mode] = build_solution(problem, mode, t_max=grid.points[-1])
+                sols[mode] = build(mode)
                 sums[mode] = _series_sums(sols[mode], ts)
-            sol = sols[mode]
-            values = _certified(sol, ts[level], *(a[level] for a in sums[mode]))
-            if forcing is None:
-                forcing = _forcing_values(problem, ts)
-            reports.append(_residual_core(
-                values, _origin_value(sol), forcing[level], problem.relax,
-                problem.v, g, summary, mode, tol_rel, warn, stacklevel=4))
+            values = _certified(sols[mode], ts[level],
+                                *(a[level] for a in sums[mode]))
+            if n0f is None:
+                n0f = forcing(ts)
+            f = n0f[level]
+            origin = sols[mode].origin_value()
+            memory = rl_profile(g, np.concatenate(([origin], values)), v)
+            res = values - f + relax ** v * memory
+            scale = float(np.max(np.abs(f)))
+            reports.append(ResidualReport(
+                problem_summary=summary, mode=mode, grid=g, residual=res,
+                max_abs=float(np.max(np.abs(res))), scale=scale))
+            if warn and g.n >= 8:
+                # Richardson check of the quadrature alone: same samples on
+                # the half-resolution subgrid, compared at the shared points.
+                coarse = Grid(g.array[1::2])
+                coarse_samples = np.concatenate(([origin], values[1::2]))
+                coarse_memory = rl_profile(coarse, coarse_samples, v)
+                est = float(np.max(np.abs(memory[1::2] - coarse_memory))) / 3.0
+                est *= relax ** v
+                if est > 0.5 * tol_rel * max(scale, 1e-300):
+                    warnings.warn(
+                        f"quadrature error estimate {est:.3e} exceeds half the "
+                        f"residual tolerance {tol_rel * scale:.3e}; refine the grid",
+                        GridTooCoarse,
+                        # the caller of residual or haubold_residual
+                        stacklevel=3,
+                    )
     return reports
 
 
@@ -244,8 +197,8 @@ def residual(
     warn: bool = True,
 ) -> ResidualReport:
     """Substitute the mode's series into the equation on the grid."""
-    (report,) = _reports(problem, grid, (mode,), refined=False,
-                         tol_rel=tol_rel, warn=warn)
+    (report,) = _reports(grid, (mode,), *_candidate(problem, grid),
+                         tol_rel=tol_rel, warn=warn, t_cap=DEFAULT_T_CAP)
     return report
 
 
@@ -270,9 +223,10 @@ def adjudicate(
     scale and shrinks under one grid refinement (unless already at the
     noise floor, where shrinkage is not measurable).
     """
-    stated, corrected, stated_fine, corrected_fine = _reports(
-        problem, grid, (SolutionMode.STATED, SolutionMode.CORRECTED),
-        refined=True, tol_rel=tol_rel, warn=False)
+    stated, corrected, stated_fine, corrected_fine = reports = _reports(
+        grid, (SolutionMode.STATED, SolutionMode.CORRECTED),
+        *_candidate(problem, grid), refined=True, tol_rel=tol_rel, warn=False,
+        t_cap=DEFAULT_T_CAP)
 
     stated_ok = _mode_passes(stated, stated_fine, tol_rel)
     corrected_ok = _mode_passes(corrected, corrected_fine, tol_rel)
@@ -284,13 +238,9 @@ def adjudicate(
         verdict = Adjudication.CORRECTED_PASSES
     else:
         verdict = Adjudication.NEITHER_PASS
+    # the reports come in the order of AdjudicationResult's fields
     return AdjudicationResult(
-        verdict=verdict,
-        stated=replace(stated, adjudication=verdict),
-        corrected=replace(corrected, adjudication=verdict),
-        stated_refined=replace(stated_fine, adjudication=verdict),
-        corrected_refined=replace(corrected_fine, adjudication=verdict),
-    )
+        verdict, *(replace(report, adjudication=verdict) for report in reports))
 
 
 def haubold_residual(
@@ -309,26 +259,10 @@ def haubold_residual(
     """
     if not isinstance(grid, Grid):
         raise DomainError("haubold_residual expects a Grid")
-    _check_tol(tol_rel)
-    sol = haubold_series(c, v, n0)
-    ts = grid.array
-    values = eval_solution_grid(sol, ts)
-    forcing = np.full(ts.shape, float(n0))
-    summary = {
-        "forcing_argument": "constant",
-        "v": float(v),
-        "relax": float(c),
-        "n0": float(n0),
-    }
-    return _residual_core(
-        values,
-        float(n0),
-        forcing,
-        float(c),
-        float(v),
-        grid,
-        summary,
-        SolutionMode.CORRECTED,
-        tol_rel,
-        warn,
-    )
+    c, v, n0 = float(c), float(v), float(n0)
+    summary = {"forcing_argument": "constant", "v": v, "relax": c, "n0": n0}
+    (report,) = _reports(grid, (SolutionMode.CORRECTED,),
+                         lambda mode: haubold_series(c, v, n0),
+                         lambda ts: np.full(ts.shape, n0), c, v, summary,
+                         tol_rel=tol_rel, warn=warn)
+    return report

@@ -75,6 +75,14 @@ class TestSolveCommand:
         # bit-exact agreement with direct library calls
         assert np.array_equal(got, want)
 
+    def test_homogeneous_table(self):
+        out = run_cli("solve", "--theorem", "1", "--l", "1", "--v", "0.75",
+                      "--n0", "0", "--n", "5", "--format", "json")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        assert [row[1] for row in doc["rows"]] == [0.0] * 5
+        assert doc["summary"]["truncation_k"] == 1
+
     def test_family3_requires_relax(self):
         out = run_cli("solve", "--theorem", "3", "--l", "1", "--v", "0.75")
         assert out.returncode == 3
@@ -143,6 +151,25 @@ class TestVerifyCommand:
     def test_requires_problem_selector(self):
         out = run_cli("verify", "--v", "0.75")
         assert out.returncode == 2
+
+    def test_homogeneous_problem_both_pass(self):
+        # n0 = 0: every residual is 0.0, at the noise floor of both modes
+        out = run_cli("verify", "--theorem", "1", "--l", "1", "--v", "0.75",
+                      "--n0", "0", "--n", "256", "--format", "json")
+        assert out.returncode == 0
+        summary = json.loads(out.stdout)["summary"]
+        assert summary["adjudication"] == "both_pass"
+        assert summary["scale"] == 0.0
+
+    def test_tight_tolerance_passes_neither(self):
+        base = ["verify", "--theorem", "1", "--l", "1", "--v", "0.75",
+                "--n0", "1", "--tol", "1e-9", "--n", "256"]
+        out = run_cli(*base, "--format", "json")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["summary"]["adjudication"] == "neither_pass"
+        out = run_cli(*base, "--expect", "corrected", "--output", "/dev/null")
+        assert out.returncode == 4
+        assert "neither_pass" in out.stderr
 
 
 class TestOtherCommands:

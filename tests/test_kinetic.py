@@ -169,6 +169,34 @@ class TestEvaluation:
         sol = build_solution(p, SolutionMode.CORRECTED, truncation_k=4)
         assert eval_solution(sol, 1.0) == 0.0
 
+    def test_zero_density_adaptive_build_stops_at_once(self):
+        # every coefficient vanishes: the adaptive build returns at k = 1
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0, n0=0.0)
+        sol = build_solution(p, SolutionMode.CORRECTED, t_max=2.0)
+        assert sol.truncation_k == 1
+        assert np.array_equal(eval_solution_grid(sol, [0.01, 1.0, 2.0]),
+                              np.zeros(3))
+
+
+class TestOriginValue:
+    def test_zero_power_term_gives_coeff_over_gamma(self):
+        # l = 0: the stated plain-time series starts at t^0 E_{v,1}, with
+        # coefficient Gamma(2) / (2 Gamma(3/2)^2) = 2/pi
+        p = KineticProblem.plain_time(SeriesSpec.struve(0.0), v=0.75, d=1.0)
+        sol = build_solution(p, SolutionMode.STATED)
+        assert sol.terms[0].power == 0.0
+        assert abs(sol.origin_value() - 2.0 / math.pi) <= math.ulp(2.0 / math.pi)
+
+    def test_positive_and_negative_powers_give_zero(self):
+        # the corrected series vanishes at the origin; the stated powered
+        # series diverges there, and its sample is pinned to 0.0
+        plain = KineticProblem.plain_time(SeriesSpec.struve(0.0), v=0.75, d=1.0)
+        powered = KineticProblem.powered_time(SPEC, v=0.4, d=1.0)
+        assert build_solution(plain, SolutionMode.CORRECTED).origin_value() == 0.0
+        stated = build_solution(powered, SolutionMode.STATED)
+        assert stated.terms[0].power < 0.0
+        assert stated.origin_value() == 0.0
+
 
 class TestHaubold:
     def test_oracle_value(self):

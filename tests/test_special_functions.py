@@ -621,6 +621,20 @@ class TestStruveDerivatives:
         with pytest.raises(NonFiniteError):
             struve_h_with_derivatives(-0.9, z)
 
+    def test_smallest_subnormal(self):
+        # z/2 rounds to 0.0; H underflows, H' and H'' come from the leading
+        # terms (v+1)/2 c u^v and v(v+1)/4 c u^(v-1), c = 1/(G(3/2) G(v+3/2))
+        z, v = 5e-324, 0.5
+        with mp.workdps(50):
+            u = mp.mpf(z) / 2
+            c = 1 / (mp.gamma(1.5) * mp.gamma(v + 1.5))
+            want = (float((v + 1) / 2 * c * u ** v),
+                    float(v * (v + 1) / 4 * c * u ** (v - 1)))
+        h, dh, ddh = struve_h_with_derivatives(v, z)
+        assert h == 0.0 == struve_h(v, z)
+        assert dh == pytest.approx(want[0], rel=1e-12)
+        assert ddh == pytest.approx(want[1], rel=1e-12)
+
     def test_against_mpmath_at_fifteen(self):
         # H' = H_{v-1} - (v/z) H, and H'' from the Struve equation
         z = 15.0

@@ -19,6 +19,7 @@ from frackin import (
     Grid,
     GridTooCoarse,
     KineticProblem,
+    ResidualReport,
     SeriesSpec,
     SolutionMode,
     adjudicate,
@@ -73,6 +74,18 @@ class TestResidual:
         with pytest.warns(GridTooCoarse):
             residual(p, SolutionMode.CORRECTED, g, tol_rel=1e-10)
 
+    def test_warning_names_the_callers_line(self):
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
+        g = Grid.uniform(2.0 / 16, 2.0, 16)
+        calls = (lambda: residual(p, SolutionMode.CORRECTED, g, tol_rel=1e-10),
+                 lambda: haubold_residual(1.0, 0.75, g, tol_rel=1e-12))
+        for call in calls:
+            with pytest.warns(GridTooCoarse) as record:
+                call()
+            (warning,) = [w for w in record if w.category is GridTooCoarse]
+            assert warning.filename == __file__
+            assert warning.lineno == call.__code__.co_firstlineno
+
     def test_monotone_refinement(self):
         # one mode's residual is pure quadrature error: strictly smaller on
         # every refinement step from 512 to 4096 (10% slack for noise)
@@ -92,6 +105,26 @@ class TestResidual:
         stalled = [m for m, ok in improving.items() if not ok][0]
         vals = maxima[stalled]
         assert vals[-1] > 0.5 * vals[0]
+
+
+def _report(max_abs, scale=1.0):
+    return ResidualReport(problem_summary={}, mode=SolutionMode.CORRECTED,
+                          grid=Grid.uniform(0.5, 1.0, 2), residual=np.zeros(2),
+                          max_abs=max_abs, scale=scale)
+
+
+class TestModePasses:
+    def test_residual_above_tolerance_fails(self):
+        assert not _mode_passes(_report(2e-4), _report(1e-6), 1e-4)
+
+    def test_noise_floor_passes_without_shrinking(self):
+        assert _mode_passes(_report(1e-13), _report(1e-13), 1e-4)
+        # the floor is absolute below unit scale
+        assert _mode_passes(_report(0.0, 0.0), _report(0.0, 0.0), 1e-4)
+
+    def test_shrinkage_decides_above_the_floor(self):
+        assert _mode_passes(_report(1e-6), _report(0.8e-6), 1e-4)
+        assert not _mode_passes(_report(1e-6), _report(0.95e-6), 1e-4)
 
 
 class TestAdjudication:

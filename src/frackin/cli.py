@@ -1,11 +1,14 @@
 """Command-line front end: evaluate functions, build solutions, verify.
 
 Every subcommand prints a table, CSV by default or a JSON object with
-`meta`, `rows`, and `summary` keys.  Floats are rendered with Python's
-shortest round-trip representation, so identical invocations produce
-byte-identical output.  Exit codes: 0 success, 2 argument parse error,
-3 domain or convergence failure, 4 when `verify --expect` names a mode
-the adjudication did not pass.
+`meta`, `rows`, and `summary` keys.  Commands hand `_emit` their columns
+and it forms the rows.  Floats are rendered with Python's shortest
+round-trip representation, so identical invocations produce
+byte-identical output.  `solve`, `corollary` and `verify` name their
+kinetic problem by `--theorem`, or by `--corollary`/`--id`, and one
+function, `_problem`, turns either into a KineticProblem.  Exit codes:
+0 success, 2 argument parse error, 3 domain or convergence failure, 4
+when `verify --expect` names a mode the adjudication did not pass.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-
-import numpy as np
 
 from .errors import FrackinError
 from .fractional_ops import Grid
@@ -25,6 +25,7 @@ from .kinetic import (
     build_solution,
     corollary_params,
     eval_solution_grid,
+    haubold_series,
 )
 from .special_functions import SeriesSpec, generalized_struve, mittag_leffler
 from .verify import Adjudication, adjudicate
@@ -36,8 +37,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit(args, meta: dict, header: list[str], rows: list[list[float]],
-          summary: dict) -> None:
+def _emit(args, meta: dict, header: list[str], columns, summary: dict) -> None:
+    rows = list(zip(*columns))
     if args.format == "json":
         meta = dict(meta)
         meta["columns"] = header
@@ -123,129 +124,96 @@ def _make_spec(args) -> SeriesSpec:
                       order=args.order, sigma=args.sigma)
 
 
-def _theorem_problem(args) -> KineticProblem:
+def _problem(args) -> tuple[KineticProblem, dict]:
+    """The kinetic problem the arguments name, with its meta entry.
+
+    `--theorem` builds a general family from the series flags; `--corollary`
+    or `--id` hands every flag to the specialized template, which ignores
+    those its family fixes.
+    """
+    key = next(name for name in ("theorem", "corollary", "id")
+               if getattr(args, name, None) is not None)
+    ident = getattr(args, key)
+    if key != "theorem":
+        # here --mu is the scaled-offset divisor (default 1), not the
+        # series offset
+        problem = corollary_params(ident).make_problem(
+            order=args.order, v=args.v, d=args.d, n0=args.n0, relax=args.relax,
+            lam=args.lam, alpha=args.alpha_p,
+            mu=1.0 if args.mu is None else args.mu)
+        return problem, {key: ident}
     spec = _make_spec(args)
-    if args.theorem == 1:
+    if ident == 3:
+        if args.relax is None:
+            raise FrackinError("family 3 requires --relax distinct from --d")
+        problem = KineticProblem.powered_time_distinct(
+            spec, v=args.v, d=args.d, relax=args.relax, n0=args.n0)
+    else:
         if args.relax is not None and args.relax != args.d:
-            raise FrackinError("family 1 ties the relaxation rate to --d")
-        return KineticProblem.plain_time(spec, v=args.v, d=args.d, n0=args.n0)
-    if args.theorem == 2:
-        if args.relax is not None and args.relax != args.d:
-            raise FrackinError("family 2 ties the relaxation rate to --d")
-        return KineticProblem.powered_time(spec, v=args.v, d=args.d,
-                                           n0=args.n0)
-    if args.relax is None:
-        raise FrackinError("family 3 requires --relax distinct from --d")
-    return KineticProblem.powered_time_distinct(
-        spec, v=args.v, d=args.d, relax=args.relax, n0=args.n0)
-
-
-def _corollary_problem(args, cid: int) -> KineticProblem:
-    template = corollary_params(cid)
-    kwargs = dict(order=args.order, v=args.v, d=args.d, n0=args.n0)
-    if args.relax is not None:
-        kwargs["relax"] = args.relax
-    if "lam" in template.free_parameters:
-        kwargs["lam"] = args.lam
-    if "alpha" in template.free_parameters:
-        kwargs["alpha"] = args.alpha_p
-    if "mu" in template.free_parameters and args.mu is not None:
-        # here --mu is the scaled-offset divisor, not the series offset
-        kwargs["mu"] = args.mu
-    return template.make_problem(**kwargs)
+            raise FrackinError(f"family {ident} ties the relaxation rate to --d")
+        make = (KineticProblem.plain_time if ident == 1
+                else KineticProblem.powered_time)
+        problem = make(spec, v=args.v, d=args.d, n0=args.n0)
+    return problem, {key: ident}
 
 
 def _cmd_eval_struve(args) -> int:
     spec = _make_spec(args)
-    rows = [[z, generalized_struve(spec, z)] for z in args.z]
+    values = [generalized_struve(spec, z) for z in args.z]
     meta = {"command": "eval-struve",
             "params": {"lambda": spec.lam, "alpha_p": spec.alpha,
                        "mu": spec.mu, "l": spec.order, "sigma": spec.sigma}}
-    _emit(args, meta, ["z", "value"], rows, {"n": len(rows)})
+    _emit(args, meta, ["z", "value"], (args.z, values), {"n": len(values)})
     return 0
 
 
 def _cmd_eval_mlf(args) -> int:
-    rows = [[z, mittag_leffler(args.alpha, args.beta, z)] for z in args.z]
+    values = [mittag_leffler(args.alpha, args.beta, z) for z in args.z]
     meta = {"command": "eval-mlf",
             "params": {"alpha": args.alpha, "beta": args.beta}}
-    _emit(args, meta, ["z", "value"], rows, {"n": len(rows)})
+    _emit(args, meta, ["z", "value"], (args.z, values), {"n": len(values)})
     return 0
 
 
-def _solution_table(args, problem: KineticProblem, meta: dict) -> int:
-    mode = SolutionMode(args.mode)
-    grid = _make_grid(args)
-    sol = build_solution(problem, mode, t_max=grid.points[-1])
+def _table(args, meta: dict, grid: Grid, sol, summary: dict) -> int:
     values = eval_solution_grid(sol, grid.array)
-    rows = [[t, val] for t, val in zip(grid.points, values)]
-    summary = {"mode": mode.value, "truncation_k": sol.truncation_k,
-               "n": len(rows)}
-    _emit(args, meta, ["t", "value"], rows, summary)
+    summary["n"] = len(values)
+    _emit(args, meta, ["t", "value"], (grid.points, values), summary)
     return 0
 
 
-def _cmd_solve(args) -> int:
-    problem = _theorem_problem(args)
-    meta = {"command": "solve",
-            "params": {"theorem": args.theorem, "lambda": args.lam,
-                       "alpha_p": args.alpha_p, "mu": problem.forcing_spec.mu,
-                       "l": args.order,
-                       "sigma": problem.forcing_spec.sigma,
-                       "d": args.d, "relax": problem.relax, "v": args.v,
-                       "n0": args.n0}}
-    return _solution_table(args, problem, meta)
-
-
-def _cmd_corollary(args) -> int:
-    problem = _corollary_problem(args, args.id)
+def _cmd_table(args) -> int:
+    problem, source = _problem(args)
+    grid = _make_grid(args)
+    mode = SolutionMode(args.mode)
+    sol = build_solution(problem, mode, t_max=grid.points[-1])
     spec = problem.forcing_spec
-    meta = {"command": "corollary",
-            "params": {"id": args.id, "lambda": spec.lam,
-                       "alpha_p": spec.alpha, "mu": spec.mu, "l": spec.order,
-                       "sigma": spec.sigma, "d": args.d,
-                       "relax": problem.relax, "v": args.v, "n0": args.n0}}
-    return _solution_table(args, problem, meta)
+    params = {"lambda": spec.lam, "alpha_p": spec.alpha, "mu": spec.mu,
+              "l": spec.order, "sigma": spec.sigma, "d": args.d,
+              "relax": problem.relax, "v": args.v, "n0": args.n0, **source}
+    return _table(args, {"command": args.subcommand, "params": params}, grid,
+                  sol, {"mode": mode.value, "truncation_k": sol.truncation_k})
 
 
 def _cmd_haubold(args) -> int:
-    from .kinetic import haubold_series
-
     sol = haubold_series(args.c, args.v, args.n0)
-    grid = _make_grid(args)
-    values = eval_solution_grid(sol, grid.array)
-    rows = [[t, val] for t, val in zip(grid.points, values)]
     meta = {"command": "haubold",
             "params": {"c": args.c, "v": args.v, "n0": args.n0}}
-    _emit(args, meta, ["t", "value"], rows, {"n": len(rows)})
-    return 0
+    return _table(args, meta, _make_grid(args), sol, {})
 
 
 def _cmd_verify(args) -> int:
-    if args.corollary is not None:
-        problem = _corollary_problem(args, args.corollary)
-        source = {"corollary": args.corollary}
-    else:
-        problem = _theorem_problem(args)
-        source = {"theorem": args.theorem}
+    problem, source = _problem(args)
     grid = _make_grid(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = adjudicate(problem, grid, tol_rel=args.tol)
+    result = adjudicate(problem, grid, tol_rel=args.tol)
     passing = []
     if result.verdict in (Adjudication.STATED_PASSES, Adjudication.BOTH_PASS):
         passing.append("stated")
     if result.verdict in (Adjudication.CORRECTED_PASSES,
                           Adjudication.BOTH_PASS):
         passing.append("corrected")
-    rows = [
-        [t, rs, rc]
-        for t, rs, rc in zip(grid.points, result.stated.residual,
-                             result.corrected.residual)
-    ]
-    params = dict(result.stated.problem_summary)
-    params.update(source)
-    meta = {"command": "verify", "params": params}
+    meta = {"command": "verify",
+            "params": {**result.stated.problem_summary, **source}}
     summary = {
         "adjudication": result.verdict.value,
         "passing": passing,
@@ -256,7 +224,8 @@ def _cmd_verify(args) -> int:
         "corrected": {"max_abs": result.corrected.max_abs,
                       "max_abs_refined": result.corrected_refined.max_abs},
     }
-    _emit(args, meta, ["t", "residual_stated", "residual_corrected"], rows,
+    _emit(args, meta, ["t", "residual_stated", "residual_corrected"],
+          (grid.points, result.stated.residual, result.corrected.residual),
           summary)
     if args.expect is not None and args.expect not in passing:
         print(f"verify: expected mode '{args.expect}' did not pass "
@@ -302,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode_flag(p)
     _add_grid_flags(p, default_n=200)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify",
                        help="residual-adjudicate both series conventions")
@@ -330,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode_flag(p)
     _add_grid_flags(p, default_n=200)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_corollary)
+    p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("haubold",
                        help="tabulate the pure-relaxation baseline")

@@ -61,6 +61,8 @@ ML_RANGE = 100.0
 _DEEP = -10.0
 _GAMMA_OVERFLOW = 171.6
 _GAMMA_TINY = 1.0 / sys.float_info.max
+# below this, z/2 is subnormal and has lost digits: see _half_power
+_NORMAL_MIN = sys.float_info.min
 # largest relative error estimate a float64 result below _DEEP or a
 # contour result is accepted with
 _CONTOUR_TOL = 1e-12
@@ -696,6 +698,18 @@ def _classical_struve(name: str, v: float, z: float, sign: float) -> float:
     return _struve_series(((1.0, 1.5), (1.0, v + 1.5)), v, z, sign)
 
 
+def _half_power(z: float, p: float) -> float:
+    """(z/2)^p for z > 0; past the float64 range it raises OverflowError.
+
+    Where z/2 falls below the normal range, halving z would round it to a
+    few significant bits (or to 0.0), so the power is taken from z itself.
+    """
+    half = 0.5 * z
+    if half >= _NORMAL_MIN:
+        return half ** p
+    return z ** p * 0.5 ** p
+
+
 def _struve_series(gammas, order: float, z: float, sign: float) -> float:
     """Struve-type series, gammas ((alpha, mu), (lam, sigma)); sign -1 for H, +1 for L."""
     if z == 0.0:
@@ -710,7 +724,7 @@ def _struve_series(gammas, order: float, z: float, sign: float) -> float:
         # cap: recompute with wide exponents and adaptive precision
         return _struve_extended(gammas, order, z, sign)
     try:
-        prefactor = half ** (order + 1.0)
+        prefactor = _half_power(z, order + 1.0)
     except OverflowError:
         prefactor = math.inf
     value = prefactor * total
@@ -750,6 +764,9 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     # rejected entries are replaced below; the finite check comes last
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.where(zs > 0.0, half ** (spec.order + 1.0), 0.0) * total[0]
+    # a subnormal z/2 has lost digits: those entries take the scalar power
+    for j in np.flatnonzero((zs > 0.0) & (half < _NORMAL_MIN)):
+        value[j] = _half_power(float(zs[j]), spec.order + 1.0) * total[0, j]
     for j in np.flatnonzero(~accepted[0]):
         value[j] = _struve_extended(gammas, spec.order, float(zs[j]), -1.0)
     if not np.all(np.isfinite(value)):
@@ -782,13 +799,14 @@ def struve_h_with_derivatives(v: float, z: float) -> tuple[float, float, float]:
                for mu, sigma in ((1.5, 1.5), (1.5, 2.5), (2.5, 2.5)))
     u = 0.5 * z
     u2 = u * u
-    # z/2 rounds to 0.0 at the smallest subnormal z, where a negative power
-    # of u would divide by zero: take the powers from z there
-    power = (lambda p: u ** p) if u > 0.0 else (lambda p: z ** p * 0.5 ** p)
     try:
-        values = (power(v + 1.0) * s,
-                  power(v) * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),
-                  power(v - 1.0) * (v * (v + 1.0) * s / 4.0 - u2 * (s - (a + v * b) / 2.0)))
+        values = (_half_power(z, v + 1.0) * s,
+                  _half_power(z, v) * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),
+                  # at v = 0 the first term is exactly 0, and u^-1 would
+                  # overflow for z below about 1e-308
+                  -u * (s - a / 2.0) if v == 0.0 else
+                  _half_power(z, v - 1.0) * (v * (v + 1.0) * s / 4.0
+                                             - u2 * (s - (a + v * b) / 2.0)))
     except OverflowError:
         # a power of u past the float64 range
         values = (math.inf,)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -197,6 +198,68 @@ class TestOtherCommands:
         assert out.returncode == 0
         assert out.stdout == ""
         assert target.read_text().startswith("z,value")
+
+
+class TestProblemFlags:
+    """What solve, corollary, verify and haubold record of their problem."""
+
+    @staticmethod
+    def json_doc(*args):
+        out = run_cli(*args, "--format", "json")
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    def test_corollary_scaled_offset_meta(self):
+        doc = self.json_doc("corollary", "--id", "12", "--lambda", "1.5",
+                            "--mu", "2", "--l", "0.5", "--v", "0.6",
+                            "--n", "3")
+        assert doc["meta"]["params"] == {
+            "id": 12, "lambda": 1.5, "alpha_p": 1.0, "mu": 1.5, "l": 0.5,
+            "sigma": 1.75, "d": 1.0, "relax": 0.6, "v": 0.6, "n0": 1.0}
+        assert doc["summary"] == {"mode": "corrected", "truncation_k": 8,
+                                  "n": 3}
+
+    def test_solve_distinct_relax_meta(self):
+        doc = self.json_doc("solve", "--theorem", "3", "--l", "1", "--v",
+                            "0.75", "--relax", "0.3", "--n", "3")
+        assert doc["meta"]["params"] == {
+            "theorem": 3, "lambda": 1.0, "alpha_p": 1.0, "mu": 1.5, "l": 1.0,
+            "sigma": 2.5, "d": 1.0, "relax": 0.3, "v": 0.75, "n0": 1.0}
+        assert doc["summary"] == {"mode": "corrected", "truncation_k": 9,
+                                  "n": 3}
+
+    def test_haubold_meta(self):
+        doc = self.json_doc("haubold", "--c", "2", "--v", "0.5", "--n", "3")
+        assert doc["meta"]["params"] == {"c": 2.0, "v": 0.5, "n0": 1.0}
+        assert doc["summary"] == {"n": 3}
+
+    def test_corollary_ignores_flags_its_family_fixes(self):
+        fixed = run_cli("corollary", "--id", "1", "--lambda", "-1", "--mu",
+                        "0", "--alpha-p", "7", "--v", "0.6", "--n", "20")
+        plain = run_cli("corollary", "--id", "1", "--v", "0.6", "--n", "20")
+        assert fixed.returncode == plain.returncode == 0
+        assert fixed.stdout == plain.stdout
+
+    def test_corollary_tied_rate_refuses_relax(self):
+        out = run_cli("corollary", "--id", "1", "--relax", "2", "--v", "0.6")
+        assert out.returncode == 3
+        assert out.stderr == ("frackin: error: family 1 ties the relaxation "
+                              "rate to d; got a distinct relax\n")
+
+    def test_verify_corollary_default_relax(self):
+        doc = self.json_doc("verify", "--corollary", "3", "--v", "0.75",
+                            "--n", "64")
+        assert doc["meta"]["params"]["relax"] == 0.6
+        assert doc["meta"]["params"]["corollary"] == 3
+
+    def test_verify_coarse_grid_is_silent(self):
+        # nothing may be filtered: a 16-point grid warns of nothing
+        out = run_cli("verify", "--theorem", "1", "--l", "1", "--v", "0.75",
+                      "--n", "16",
+                      env={**os.environ, "PYTHONWARNINGS": "default"})
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert len(out.stdout.splitlines()) == 17
 
 
 class TestExitCodes:

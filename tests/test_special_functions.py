@@ -652,6 +652,71 @@ class TestStruveDerivatives:
                     assert abs(g - w) <= 1e-9 * size, (v, g, w)
 
 
+def _struve_termwise(v, z, derivative):
+    """d^derivative/dz^derivative of the H_v series, term by term, 60 digits.
+
+    Each term (-1)^k u^p / (G(k+3/2) G(k+v+3/2)), u = z/2, p = 2k+v+1, is
+    differentiated as a power of u, on the exact float z.
+    """
+    with mp.workdps(60):
+        u, v, total = mp.mpf(z) / 2, mp.mpf(v), mp.mpf(0)
+        for k in range(4):
+            p = 2 * k + v + 1
+            weight = mp.mpf(1)
+            for j in range(derivative):
+                weight *= (p - j) / 2
+            total += (-1) ** k * weight * u ** (p - derivative) / (
+                mp.gamma(k + 1.5) * mp.gamma(k + v + 1.5))
+        return float(total)
+
+
+class TestStruveSubnormal:
+    """z/2 below the normal range: powers of z/2 are taken from z itself.
+
+    Expected values are tiny, so every comparison drops pytest.approx's
+    default absolute tolerance of 1e-12.
+    """
+
+    def test_struve_h_negative_order(self):
+        # halving z would round it to 0.0 or to one subnormal ulp
+        for z in (5e-324, 1.5e-323):
+            want = _struve_termwise(-0.5, z, 0)
+            assert struve_h(-0.5, z) == pytest.approx(want, rel=1e-12, abs=0.0)
+            grid = generalized_struve_grid(SeriesSpec.struve(-0.5), [0.0, z, 1.0])
+            assert grid[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert grid[2] == struve_h(-0.5, 1.0)
+        assert struve_h(-0.5, 5e-324) == pytest.approx(1.7735049e-162, rel=1e-7, abs=0.0)
+        assert struve_h(-0.5, 1.5e-323) == pytest.approx(3.0718006e-162, rel=1e-7, abs=0.0)
+
+    def test_derivatives_at_subnormal_z(self):
+        z = 1.5e-323
+        h, dh, ddh = struve_h_with_derivatives(0.5, z)
+        assert h == 0.0
+        assert dh == pytest.approx(_struve_termwise(0.5, z, 1), rel=1e-12, abs=0.0)
+        assert ddh == pytest.approx(_struve_termwise(0.5, z, 2), rel=1e-12, abs=0.0)
+        assert dh == pytest.approx(2.3038504e-162, rel=1e-7, abs=0.0)
+        assert ddh == pytest.approx(7.7717420e160, rel=1e-7, abs=0.0)
+
+    def test_order_zero_needs_no_negative_power(self):
+        # at v = 0 the v(v+1) term of H'' is exactly 0, leaving -u (S - A/2);
+        # at z = 1e-310, H and H'' are subnormal and carry fewer digits
+        for z, rel in ((1e-310, 1e-11), (1e-300, 1e-12)):
+            got = struve_h_with_derivatives(0.0, z)
+            want = [_struve_termwise(0.0, z, j) for j in range(3)]
+            assert got[0] == pytest.approx(want[0], rel=rel, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+            assert got[2] == pytest.approx(want[2], rel=rel, abs=0.0)
+        got = struve_h_with_derivatives(0.0, 1e-310)
+        assert got == pytest.approx((6.3661977e-311, 0.63661977, -4.2441318e-311),
+                                    rel=1e-7, abs=0.0)
+
+    def test_true_overflow_still_raises(self):
+        # H'' is 8.85e314 at v = 0.02 and -1.8e484 at v = -0.5
+        for v in (0.02, -0.5):
+            with pytest.raises(NonFiniteError):
+                struve_h_with_derivatives(v, 5e-324)
+
+
 class TestConvergenceGuards:
     def test_mlf_cap_raises(self):
         # alpha tiny and z near the range edge needs more than the term cap

@@ -1,21 +1,24 @@
 """Command-line front end: evaluate functions, build solutions, verify.
 
 Every subcommand prints a table, CSV by default or a JSON object with
-`meta`, `rows`, and `summary` keys.  Commands hand `_emit` their columns
-and it forms the rows.  Floats are rendered with Python's shortest
-round-trip representation, so identical invocations produce
-byte-identical output.  `solve`, `corollary` and `verify` name their
-kinetic problem by `--theorem`, or by `--corollary`/`--id`, and one
-function, `_problem`, turns either into a KineticProblem.  Exit codes:
-0 success, 2 argument parse error, 3 domain or convergence failure, 4
-when `verify --expect` names a mode the adjudication did not pass.
+`meta`, `rows`, and `summary` keys.  `_emit` turns the columns it is
+handed into Python floats once, printed in their shortest round-trip
+form, so identical invocations produce byte-identical output.  The
+parser is built once per process.  `_problem` turns `--theorem`, or
+`--corollary`/`--id`, into the KineticProblem of `solve`, `corollary`
+and `verify`.  Exit codes: 0 success, 2 argument parse error, 3 domain
+or convergence failure or an `--output` that cannot be written, 4 when
+`verify --expect` names a mode the adjudication did not pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+
+import numpy as np
 
 from .errors import FrackinError
 from .fractional_ops import Grid
@@ -33,27 +36,24 @@ from .verify import Adjudication, adjudicate
 __all__ = ["main"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _emit(args, meta: dict, header: list[str], columns, summary: dict) -> None:
-    rows = list(zip(*columns))
+    rows = list(zip(*(np.asarray(c, float).tolist() for c in columns)))
     if args.format == "json":
-        meta = dict(meta)
-        meta["columns"] = header
-        payload = {"meta": meta, "rows": rows, "summary": summary}
-        text = json.dumps(payload, sort_keys=True, separators=(",", ": "),
-                          indent=None) + "\n"
+        payload = {"meta": {**meta, "columns": header}, "rows": rows,
+                   "summary": summary}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n"
     else:
         lines = [",".join(header)]
-        lines.extend(",".join(_fmt(x) for x in row) for row in rows)
+        lines.extend(",".join(map(repr, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FrackinError(f"cannot write {args.output}: {exc.strerror}")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -234,6 +234,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args reads the parser and never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frackin",
@@ -317,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FrackinError as exc:

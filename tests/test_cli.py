@@ -1,12 +1,19 @@
 """Command-line behaviour: schemas, determinism, exit codes."""
 
+import argparse
+import contextlib
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from frackin import cli
 
 CLI = [sys.executable, "-m", "frackin.cli"]
 
@@ -14,6 +21,17 @@ CLI = [sys.executable, "-m", "frackin.cli"]
 def run_cli(*args, **kwargs):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
                           **kwargs)
+
+
+def run_in_process(*args):
+    """`frackin.cli.main` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEvalCommands:
@@ -199,6 +217,22 @@ class TestOtherCommands:
         assert out.stdout == ""
         assert target.read_text().startswith("z,value")
 
+    def test_unwritable_output_is_3(self, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1", "--z", "1",
+                      "--output", str(target))
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert out.stderr == (f"frackin: error: cannot write {target}: "
+                              f"{os.strerror(errno.ENOENT)}\n")
+        # a directory is no file either
+        out = run_cli("haubold", "--c", "1", "--v", "0.5", "--n", "4",
+                      "--output", str(tmp_path))
+        assert out.returncode == 3
+        assert out.stderr.startswith(f"frackin: error: cannot write "
+                                     f"{tmp_path}: ")
+        assert "Traceback" not in out.stderr
+
 
 class TestProblemFlags:
     """What solve, corollary, verify and haubold record of their problem."""
@@ -335,3 +369,93 @@ class TestDeterminism:
             assert first.returncode == 0
             assert first.stdout == second.stdout
             assert first.stdout.strip()
+
+
+class TestParserReuse:
+    """One process reuses one parser: no flag may carry over to a later call."""
+
+    # each flag is given in one call and left out of the next
+    SEQUENCE = [
+        ["verify", "--theorem", "2", "--l", "1", "--v", "0.75", "--n", "64",
+         "--expect", "stated"],
+        ["verify", "--theorem", "2", "--l", "1", "--v", "0.75", "--n", "64"],
+        ["solve", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "6",
+         "--format", "json"],
+        ["solve", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "6"],
+        ["eval-mlf", "--alpha", "1", "--beta", "1", "--z", "1", "--output",
+         "{out}"],
+        ["eval-mlf", "--alpha", "1", "--beta", "1", "--z", "1"],
+        ["solve", "--theorem", "2", "--l", "1", "--v", "0.5", "--tmin",
+         "0.001", "--n", "6", "--spacing", "log"],
+        ["solve", "--theorem", "2", "--l", "1", "--v", "0.5", "--tmin",
+         "0.001", "--n", "6"],
+        ["solve", "--theorem", "4", "--l", "1", "--v", "0.5"],
+        ["solve", "--theorem", "3", "--l", "1", "--v", "0.75", "--n", "6",
+         "--relax", "0.3"],
+        ["solve", "--theorem", "3", "--l", "1", "--v", "0.75", "--n", "6"],
+        ["verify", "--corollary", "3", "--v", "0.75", "--n", "32",
+         "--format", "json"],
+        ["verify", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "32",
+         "--format", "json"],
+        # corollary has no --theorem: a namespace kept from the call before
+        # would still carry theorem = 1
+        ["corollary", "--id", "4", "--lambda", "1.5", "--l", "0.5", "--v",
+         "0.6", "--n", "6", "--format", "json"],
+    ]
+
+    def test_matches_fresh_processes(self, tmp_path):
+        codes = set()
+        for i, argv in enumerate(self.SEQUENCE):
+            here = [a.format(out=tmp_path / f"here{i}") for a in argv]
+            fresh = [a.format(out=tmp_path / f"fresh{i}") for a in argv]
+            code, stdout, stderr = run_in_process(*here)
+            want = run_cli(*fresh)
+            assert (code, stdout, stderr) == \
+                (want.returncode, want.stdout, want.stderr), argv
+            if "--output" in argv:
+                assert (tmp_path / f"here{i}").read_text() == \
+                    (tmp_path / f"fresh{i}").read_text()
+            codes.add(code)
+        # the sequence reaches success, a parse error, a domain error and
+        # a failed --expect
+        assert codes == {0, 2, 3, 4}
+
+
+class TestEmitBytes:
+    """`_emit` writes the same bytes whatever sequence type holds a column."""
+
+    VALUES = [-0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3]
+    KINDS = {
+        "ndarray": np.array,
+        "tuple": tuple,
+        "list": list,
+        "numpy-scalars": lambda v: [np.float64(x) for x in v],
+    }
+
+    @staticmethod
+    def emit(fmt, columns):
+        args = argparse.Namespace(format=fmt, output="-")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(args, {"command": "t"}, ["x", "y"], columns, {"n": 6})
+        return out.getvalue()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_csv_is_shortest_repr(self, kind):
+        make = self.KINDS[kind]
+        text = self.emit("csv", (make(self.VALUES), make(self.VALUES[::-1])))
+        rows = zip(self.VALUES, self.VALUES[::-1])
+        assert text == "x,y\n" + "".join(
+            f"{repr(float(a))},{repr(float(b))}\n" for a, b in rows)
+        assert text.splitlines()[1] == "-0.0,0.3333333333333333"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_json_is_dumps_of_python_floats(self, kind):
+        make = self.KINDS[kind]
+        text = self.emit("json", (make(self.VALUES), make(self.VALUES[::-1])))
+        payload = {"meta": {"command": "t", "columns": ["x", "y"]},
+                   "rows": [[a, b] for a, b in
+                            zip(self.VALUES, self.VALUES[::-1])],
+                   "summary": {"n": 6}}
+        assert text == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ": ")) + "\n"

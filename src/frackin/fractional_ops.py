@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InsufficientGrid
+from .errors import DomainError, InsufficientGrid, NonFiniteError
 from .special_functions import gamma
 
 __all__ = ["Grid", "rl_integral_power", "rl_integral_grid", "rl_profile"]
@@ -102,7 +102,8 @@ class Grid:
 
 def rl_integral_power(a: float, v: float, t: float) -> float:
     """Closed form of the order-v integral of s^a at time t:
-    Gamma(a+1)/Gamma(a+1+v) * t^(a+v)."""
+    Gamma(a+1)/Gamma(a+1+v) * t^(a+v).  Past the float64 range:
+    NonFiniteError."""
     a = float(a)
     v = float(v)
     t = float(t)
@@ -110,9 +111,17 @@ def rl_integral_power(a: float, v: float, t: float) -> float:
         raise DomainError(f"rl_integral_power requires a > -1, got {a!r}")
     if not v > 0.0:
         raise DomainError(f"rl_integral_power requires v > 0, got {v!r}")
-    if not t > 0.0:
-        raise DomainError(f"rl_integral_power requires t > 0, got {t!r}")
-    return gamma(a + 1.0) / gamma(a + 1.0 + v) * t ** (a + v)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"rl_integral_power requires finite t > 0, got {t!r}")
+    try:
+        value = gamma(a + 1.0) / gamma(a + 1.0 + v) * t ** (a + v)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteError(
+            f"rl_integral_power at a={a!r}, v={v!r}, t={t!r} overflows float64"
+        )
+    return value
 
 
 def _moments(tau: np.ndarray, v: float):
@@ -135,15 +144,16 @@ def _panel_moments(t, nodes: np.ndarray, v: float):
     return _moments(np.maximum(t - nodes, 0.0), v)
 
 
-def _rl_row(nodes: np.ndarray, f: np.ndarray, slopes: np.ndarray, v: float) -> float:
+def _rl_row(nodes: np.ndarray, f: np.ndarray, slopes: np.ndarray, v: float):
     """Quadrature sum at t = nodes[-1] over every panel of `nodes`.
 
     `f` and `slopes` hold each panel's left-end sample and the slope of
-    the interpolant on it.  The result is not yet divided by Gamma(v).
-    This is the exact O(i) row that both public entry points share.
+    the interpolant on it along the last axis, one row per function.  The
+    result is not yet divided by Gamma(v).  This is the exact O(i) row
+    that both public entry points and `sumudu.check_rl_rule` share.
     """
     m0, m1 = _panel_moments(nodes[-1], nodes, v)
-    return float(np.dot(f, m0) + np.dot(slopes, m1))
+    return f @ m0 + slopes @ m1
 
 
 def _checked_samples(grid: Grid, samples, v: float, caller: str):
@@ -177,7 +187,7 @@ def rl_integral_grid(grid: Grid, samples, v: float, t_index: int) -> float:
         )
     nodes = np.concatenate(([0.0], grid.array[: t_index + 1]))
     slopes = np.diff(f[: t_index + 2]) / np.diff(nodes)
-    return _rl_row(nodes, f[: t_index + 1], slopes, v) / gamma(v)
+    return float(_rl_row(nodes, f[: t_index + 1], slopes, v)) / gamma(v)
 
 
 # A tail may follow at most this many irregular head panels.

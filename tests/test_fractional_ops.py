@@ -11,6 +11,7 @@ from frackin import (
     DomainError,
     Grid,
     InsufficientGrid,
+    NonFiniteError,
     gamma,
     rl_integral_grid,
     rl_integral_power,
@@ -111,6 +112,15 @@ class TestPowerRule:
         with pytest.raises(DomainError):
             rl_integral_power(1.0, -0.5, 1.0)
 
+    def test_infinite_time_raises(self):
+        with pytest.raises(DomainError):
+            rl_integral_power(1.0, 0.5, math.inf)
+
+    def test_overflow_raises(self):
+        # t^1.5 passes the float64 range
+        with pytest.raises(NonFiniteError):
+            rl_integral_power(1.0, 0.5, 1e300)
+
     @given(st.floats(min_value=0.0, max_value=4.0),
            st.floats(min_value=0.1, max_value=1.5),
            st.floats(min_value=0.1, max_value=3.0))
@@ -174,6 +184,27 @@ class TestGridQuadrature:
         separate = a * rl_integral_grid(g, f1, 0.6, 12) \
             + b * rl_integral_grid(g, f2, 0.6, 12)
         assert combined == pytest.approx(separate, rel=1e-13)
+
+
+class TestScaleInvariance:
+    """The rule on the uniform grid of [t/n, t] is the unit rule times t^v.
+
+    Both grids take the same samples, f at t times the unit grid's
+    points, so only the kernel's scaling separates the two sums.
+    """
+
+    @pytest.mark.parametrize("f", [lambda t: t ** 2,
+                                   lambda t: np.sqrt(t) + np.exp(-t)],
+                             ids=["square", "root_plus_decay"])
+    @pytest.mark.parametrize("n", [16, 2048])
+    @pytest.mark.parametrize("v", [0.05, 0.7, 1.0, 1.95])
+    @pytest.mark.parametrize("t", [1e-6, 0.37, 3.7, 171.6])
+    def test_scaled_unit_rule(self, t, v, n, f):
+        unit = Grid.uniform(1 / n, 1.0, n)
+        samples = f(t * np.concatenate(([0.0], unit.array)))
+        got = rl_integral_grid(Grid.uniform(t / n, t, n), samples, v, n - 1)
+        want = t ** v * rl_integral_grid(unit, samples, v, n - 1)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def _smooth_samples(grid: Grid) -> np.ndarray:

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from frackin import (
     DomainError,
+    Grid,
     NonFiniteError,
     check_rl_rule,
     gamma,
+    rl_integral_grid,
     sumudu_numeric,
     sumudu_power,
 )
-from frackin.sumudu import _limit_at_zero
+from frackin.sumudu import _limit_at_zero, _sample
 
 
 class TestPowerTransform:
@@ -35,6 +37,16 @@ class TestPowerTransform:
     def test_invalid_u_raises(self):
         with pytest.raises(DomainError):
             sumudu_power(1.0, 0.0)
+
+    def test_infinite_u_raises(self):
+        with pytest.raises(DomainError):
+            sumudu_power(2.0, math.inf)
+
+    @pytest.mark.parametrize("a,u", [(2.0, 1e200), (200.0, 1.0)])
+    def test_overflow_raises(self, a, u):
+        # u^a in the first case, Gamma(a+1) in the second
+        with pytest.raises(NonFiniteError):
+            sumudu_power(a, u)
 
 
 class TestNumericTransform:
@@ -151,3 +163,43 @@ class TestRLRule:
         assert _limit_at_zero(lambda t: 1.0 + t) == 1.0
         assert _limit_at_zero(math.cos) == 1.0
         assert check_rl_rule(math.cos, 0.5, 1.0) <= 1e-5
+
+
+def _per_target_rl_rule(f, v: float, u: float) -> float:
+    """check_rl_rule's defect with a fresh 2048-point grid per time."""
+    n = 2048
+
+    def rl_of_f(times):
+        out = []
+        for t_end in times:
+            grid = Grid.uniform(t_end / n, float(t_end), n)
+            origin = _limit_at_zero(f, grid.points[0])
+            samples = np.concatenate(([origin], _sample(f, grid.array)))
+            out.append(rl_integral_grid(grid, samples, v, n - 1))
+        return np.array(out)
+
+    left = sumudu_numeric(rl_of_f, u).value
+    return abs(left - u ** v * sumudu_numeric(f, u).value)
+
+
+class TestRLRuleAgainstPerTargetGrids:
+    """One unit rule scaled by t^v gives the per-time grids' defect."""
+
+    def _check(self, f, v, u):
+        scale = abs(u ** v * sumudu_numeric(f, u).value)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = check_rl_rule(f, v, u)
+            want = _per_target_rl_rule(f, v, u)
+        assert abs(got - want) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("f", [lambda t: t ** 0.0, lambda t: t, lambda t: t ** 2,
+                                   lambda t: np.sin(t) / t, lambda t: t ** -0.5],
+                             ids=["one", "t", "square", "sinc", "inverse_root"])
+    def test_vectorised(self, f):
+        for v in (0.3, 1.0, 2.0):
+            for u in (0.2, 1.0, 2.0):
+                self._check(f, v, u)
+
+    def test_scalar_only(self):
+        # math.cos refuses arrays, so every sample is one call
+        self._check(math.cos, 0.7, 1.3)

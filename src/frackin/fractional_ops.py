@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InsufficientGrid, NonFiniteError
-from .special_functions import gamma
+from .special_functions import _gamma_product, gamma
 
 __all__ = ["Grid", "rl_integral_power", "rl_integral_grid", "rl_profile"]
 
@@ -66,23 +66,11 @@ class Grid:
 
     @classmethod
     def uniform(cls, t_min: float, t_max: float, n: int) -> "Grid":
-        if math.isinf(t_min) or math.isinf(t_max):
-            raise DomainError("grid points must be finite")
-        if not (0.0 < t_min < t_max):
-            raise DomainError(
-                f"uniform grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
-            )
-        return cls(np.linspace(t_min, t_max, int(n)))
+        return cls(np.linspace(t_min, t_max, _point_count("uniform", t_min, t_max, n)))
 
     @classmethod
     def log(cls, t_min: float, t_max: float, n: int) -> "Grid":
-        if math.isinf(t_min) or math.isinf(t_max):
-            raise DomainError("grid points must be finite")
-        if not (0.0 < t_min < t_max):
-            raise DomainError(
-                f"log grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
-            )
-        return cls(np.geomspace(t_min, t_max, int(n)))
+        return cls(np.geomspace(t_min, t_max, _point_count("log", t_min, t_max, n)))
 
     @property
     def n(self) -> int:
@@ -100,6 +88,21 @@ class Grid:
         return Grid(np.sort(np.concatenate(([first], arr, mids))))
 
 
+def _point_count(kind: str, t_min: float, t_max: float, n: int) -> int:
+    """int(n), once the span and size of a `kind` grid are checked."""
+    if math.isinf(t_min) or math.isinf(t_max):
+        raise DomainError("grid points must be finite")
+    if not (0.0 < t_min < t_max):
+        raise DomainError(
+            f"{kind} grid needs 0 < t_min < t_max, got [{t_min!r}, {t_max!r}]"
+        )
+    n = int(n)
+    if n < 2:
+        # numpy would reject a negative count with a bare ValueError
+        raise DomainError(f"grid needs at least 2 points, got {n}")
+    return n
+
+
 def rl_integral_power(a: float, v: float, t: float) -> float:
     """Closed form of the order-v integral of s^a at time t:
     Gamma(a+1)/Gamma(a+1+v) * t^(a+v).  Past the float64 range:
@@ -113,10 +116,9 @@ def rl_integral_power(a: float, v: float, t: float) -> float:
         raise DomainError(f"rl_integral_power requires v > 0, got {v!r}")
     if not 0.0 < t < math.inf:
         raise DomainError(f"rl_integral_power requires finite t > 0, got {t!r}")
-    try:
-        value = gamma(a + 1.0) / gamma(a + 1.0 + v) * t ** (a + v)
-    except OverflowError:
-        value = math.inf
+    # the gammas can leave the float64 range while their ratio does not
+    value = _gamma_product(lambda: gamma(a + 1.0) / gamma(a + 1.0 + v) * t ** (a + v),
+                           1.0, (a + v) * math.log(t), (a + 1.0,), (a + 1.0 + v,))
     if not math.isfinite(value):
         raise NonFiniteError(
             f"rl_integral_power at a={a!r}, v={v!r}, t={t!r} overflows float64"

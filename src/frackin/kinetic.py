@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, RangeError
 from .special_functions import (
     SeriesSpec,
+    _gamma_product,
     gamma,
     generalized_struve_grid,
     mittag_leffler,
@@ -208,27 +209,28 @@ def _term_parameters(
     spec = problem.forcing_spec
     l = spec.order
     v = problem.v
-    pair = reciprocal_gamma(spec.alpha * k + spec.mu) * reciprocal_gamma(
-        spec.lam * k + spec.sigma
-    )
+    bottoms = (spec.alpha * k + spec.mu, spec.lam * k + spec.sigma)
+    pair = reciprocal_gamma(bottoms[0]) * reciprocal_gamma(bottoms[1])
     sign = -1.0 if k % 2 else 1.0
-    try:
-        if problem.forcing_argument is Forcing.PLAIN:
-            top = gamma(2.0 * k + l + 2.0)
-            prefactor = 0.5 ** (2.0 * k + l + 1.0)
-            power = 2.0 * k + l
-            beta = 2.0 * k + l + 1.0
-        else:
-            w = (2.0 * k + l + 1.0) * v
-            top = gamma(w + 1.0)
-            prefactor = (problem.d ** v / 2.0) ** (2.0 * k + l + 1.0)
-            power = w - 1.0
-            beta = w
-    except OverflowError as exc:
-        raise ConvergenceError(
-            f"solution coefficient at k={k} exceeds the float64 range"
-        ) from exc
-    coeff = problem.n0 * sign * top * pair * prefactor
+    if problem.forcing_argument is Forcing.PLAIN:
+        # the prefactor (rate^v / 2)^(2k+l+1) is 0.5^(2k+l+1) here
+        rate = 1.0
+        top = 2.0 * k + l + 2.0
+        power = 2.0 * k + l
+        beta = 2.0 * k + l + 1.0
+    else:
+        rate = problem.d
+        w = (2.0 * k + l + 1.0) * v
+        top = w + 1.0
+        power = w - 1.0
+        beta = w
+    exponent = 2.0 * k + l + 1.0
+    # Gamma(top) overflows from k = 85 of plain time on, while the
+    # reciprocal gammas bring the coefficient back into range
+    coeff = _gamma_product(
+        lambda: problem.n0 * sign * gamma(top) * pair * (rate ** v / 2.0) ** exponent,
+        problem.n0 * sign, exponent * (v * math.log(rate) - math.log(2.0)),
+        (top,), bottoms)
     if not math.isfinite(coeff):
         raise ConvergenceError(
             f"solution coefficient at k={k} exceeds the float64 range"

@@ -22,11 +22,15 @@ vouches for it:
    not converge and NonFiniteError where the value leaves float64 range.
 
 Grids decide the tier entry by entry, and a rejected entry goes on to
-the next tier alone.  Scalar entry points keep a loop of their own: a
-length-1 grid costs 10-40 times as much.  For Mittag-Leffler, mpmath
+the next tier alone.  Only tier 1 has a scalar and a grid kernel, as a
+length-1 grid costs 10-40 times as much as `_series_float`.  Past it
+each family has one escalation path that its scalar and grid entry
+points share: `_ml_rescue` for the rejected Mittag-Leffler entries, and
+`_struve_series`, the scalar functions' own body, for each Struve entry
+float64 rejects or whose z/2 is subnormal.  For Mittag-Leffler, mpmath
 runs only outside the float64 budget where the contour does not serve
-(positive z, or alpha > 2) and where its estimate fails, chiefly for
-values far below its rounding level such as E_{1,1}(-99) = e^-99.
+(z >= 0, or alpha > 2) and where its estimate fails, chiefly for values
+far below its rounding level such as E_{1,1}(-99) = e^-99.
 
 Terms whose gamma argument lands on a non-positive integer use the
 reciprocal gamma, which is entire and exactly 0 there, so those terms
@@ -121,6 +125,36 @@ def reciprocal_gamma(x: float) -> float:
         # gamma underflowed (deep negative non-integer x)
         return math.copysign(math.inf, g)
     return 1.0 / g
+
+
+def _gamma_product(plain, scale: float, log_power: float, tops=(), bottoms=()) -> float:
+    """scale * e^log_power * prod Gamma(tops) / prod Gamma(bottoms).
+
+    `plain()` is the caller's float64 expression of the product, and its
+    value stands wherever it is finite and nonzero.  Where a factor
+    overflows, or underflows to 0, while the product need not, the
+    product is taken from signed log-gammas instead; its relative error
+    is then about eps times the summed size of the logs.  A bottom at a
+    pole gives 0.0.  Returns +-inf only where the value itself exceeds
+    the float64 range.
+    """
+    try:
+        value = plain()
+    except OverflowError:
+        value = math.inf
+    if value != 0.0 and math.isfinite(value):
+        return value
+    if scale == 0.0 or any(x <= 0.0 and x == round(x) for x in bottoms):
+        return 0.0
+    log_abs = (log_power + math.log(abs(scale))
+               + sum(map(math.lgamma, tops)) - sum(map(math.lgamma, bottoms)))
+    # Gamma is negative on (-1, 0), (-3, -2), ...
+    flips = sum(x < 0.0 and math.floor(x) % 2 == 1 for x in (*tops, *bottoms))
+    sign = math.copysign(1.0, scale) * (-1.0) ** flips
+    try:
+        return sign * math.exp(log_abs)
+    except OverflowError:
+        return sign * math.inf
 
 
 @dataclass(frozen=True)
@@ -370,14 +404,19 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     value, accepted = _series_float(z, ((alpha, beta),), deep=z < _DEEP)
     if accepted:
         return value
-    if z < 0.0:
-        values, est = _ml_contour(alpha, [beta], [z])
-        if est[0] <= _CONTOUR_TOL * abs(values[0]):
-            return float(values[0])
-    # overflow, cancellation, a term cap too small at this alpha, or a
-    # contour estimate that fails: all are recoverable with wider
-    # exponents and more precision
-    return _ml_extended(alpha, beta, z)
+    return float(_ml_rescue(alpha, np.array([beta]), np.array([z]))[0])
+
+
+def _ml_rescue(alpha: float, betas: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Both entry points' tiers 2 and 3, for entries float64 rejected.
+
+    The contour serves each entry (betas[i], zs[i]) its estimate vouches
+    for; every other entry goes to mpmath alone.
+    """
+    values, est = _ml_contour(alpha, betas, zs)
+    for i in np.flatnonzero(~(est <= _CONTOUR_TOL * np.abs(values))):
+        values[i] = _ml_extended(alpha, float(betas[i]), float(zs[i]))
+    return values
 
 
 def _ml_extended(alpha: float, beta: float, z: float) -> float:
@@ -563,7 +602,7 @@ def _relative(values, est):
 
 
 def _ml_contour(alpha: float, betas, zs):
-    """E_{alpha, betas[i]}(zs[i]) for real zs[i] < 0, with error estimates.
+    """E_{alpha, betas[i]}(zs[i]) where zs[i] < 0, with error estimates.
 
     Each entry takes Garrappa's optimal parabola first and, if that fails
     its estimate, the saddle parabola.  An entry both fail is retried one
@@ -572,14 +611,14 @@ def _ml_contour(alpha: float, betas, zs):
     step down the part that cancels is the exactly known 1/Gamma(b-a).
     Returns (values, estimates); an entry is trustworthy where its
     estimate is at most _CONTOUR_TOL of its value, and its estimate is
-    inf where no rule applied, as for every entry when alpha > 2.
+    inf where no rule applied: at z >= 0, and everywhere if alpha > 2.
     """
     betas = np.asarray(betas, dtype=float)
     zs = np.asarray(zs, dtype=float)
     if alpha > _CONTOUR_MAX_ALPHA:
         return np.zeros(betas.size), np.full(betas.size, np.inf)
     values, est = _contour_rules(alpha, betas, zs)
-    todo = np.flatnonzero(~(_relative(values, est) <= _CONTOUR_TOL))
+    todo = np.flatnonzero((zs < 0.0) & ~(_relative(values, est) <= _CONTOUR_TOL))
     if todo.size:
         lower, lower_est = _contour_rules(alpha, betas[todo] - alpha, zs[todo])
         rg = np.array([reciprocal_gamma(b) for b in betas[todo] - alpha])
@@ -596,7 +635,7 @@ def _contour_rules(alpha: float, betas: np.ndarray, zs: np.ndarray):
     values = np.zeros(betas.size)
     est = np.full(betas.size, np.inf)
     rel = np.full(betas.size, np.inf)
-    todo = np.arange(betas.size)
+    todo = np.flatnonzero(zs < 0.0)
     for rule in (_garrappa_rule, _saddle_rule):
         found = [(i, rule(alpha, betas[i], zs[i])) for i in todo]
         found = [(i, prm) for i, prm in found if prm is not None]
@@ -629,9 +668,9 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
 
     Vectorized companion of mittag_leffler with the same three tiers,
     decided entry by entry: the float64 series, summed for the whole grid
-    and judged by the scalar path's rule; then one batched `_ml_contour`
-    call for the negative-z entries it cannot vouch for (alpha <= 2);
-    then mpmath for every entry still rejected.
+    and judged by the scalar path's rule; then the scalar path's
+    `_ml_rescue` for the entries it rejects, with one batched contour
+    call for all of them.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -643,15 +682,9 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
     total, accepted = _series_grid(zs, ((alpha, betas),), deep=zs < _DEEP)
-    risky = ~accepted
-    rows, cols = np.nonzero(risky & (zs < 0.0)[None, :])
+    rows, cols = np.nonzero(~accepted)
     if rows.size:
-        values, est = _ml_contour(alpha, betas[rows], zs[cols])
-        good = est <= _CONTOUR_TOL * np.abs(values)
-        total[rows[good], cols[good]] = values[good]
-        risky[rows[good], cols[good]] = False
-    for i, j in np.argwhere(risky):
-        total[i, j] = _ml_extended(alpha, float(betas[i]), float(zs[j]))
+        total[rows, cols] = _ml_rescue(alpha, betas[rows], zs[cols])
     return total
 
 
@@ -749,7 +782,8 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     """generalized_struve evaluated over an array of points z >= 0.
 
     The float64 series runs for the whole array; each entry it cannot
-    vouch for goes to mpmath alone.
+    vouch for, and each entry whose z/2 is subnormal, takes the scalar
+    path's tiers through `_struve_series`.
     """
     if not isinstance(spec, SeriesSpec):
         raise DomainError("generalized_struve_grid expects a SeriesSpec")
@@ -764,11 +798,9 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     # rejected entries are replaced below; the finite check comes last
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.where(zs > 0.0, half ** (spec.order + 1.0), 0.0) * total[0]
-    # a subnormal z/2 has lost digits: those entries take the scalar power
-    for j in np.flatnonzero((zs > 0.0) & (half < _NORMAL_MIN)):
-        value[j] = _half_power(float(zs[j]), spec.order + 1.0) * total[0, j]
-    for j in np.flatnonzero(~accepted[0]):
-        value[j] = _struve_extended(gammas, spec.order, float(zs[j]), -1.0)
+    # so do entries whose z/2 is subnormal, as it has lost digits
+    for j in np.flatnonzero(~accepted[0] | ((zs > 0.0) & (half < _NORMAL_MIN))):
+        value[j] = _struve_series(gammas, spec.order, float(zs[j]), -1.0)
     if not np.all(np.isfinite(value)):
         raise NonFiniteError("Struve-type series value exceeds the float64 range")
     return value

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError
 from .fractional_ops import _rl_row
-from .special_functions import gamma
+from .special_functions import _gamma_product, gamma
 
 __all__ = ["TransformPoint", "sumudu_numeric", "sumudu_power", "check_rl_rule"]
 
@@ -109,10 +109,8 @@ def sumudu_power(a: float, u: float) -> float:
         raise DomainError(f"sumudu_power requires a > -1, got {a!r}")
     if not 0.0 < u < math.inf:
         raise DomainError(f"sumudu_power requires finite u > 0, got {u!r}")
-    try:
-        value = u ** a * gamma(a + 1.0)
-    except OverflowError:
-        value = math.inf
+    # u^a and Gamma(a+1) can leave the float64 range in opposite directions
+    value = _gamma_product(lambda: u ** a * gamma(a + 1.0), 1.0, a * math.log(u), (a + 1.0,))
     if not math.isfinite(value):
         raise NonFiniteError(f"sumudu_power at a={a!r}, u={u!r} overflows float64")
     return value

@@ -340,6 +340,17 @@ class TestExitCodes:
         assert out.stderr.startswith("frackin: error:")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "-1"],
+        ["haubold", "--c", "1", "--v", "0.5", "--n", "-5"],
+        ["verify", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "-2"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_sample_count_is_3(self, argv):
+        code, out, err = run_in_process(*argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"frackin: error: grid needs at least 2 points, got {argv[-1]}\n"
+
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",
                       "--z", "200")

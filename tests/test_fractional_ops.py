@@ -36,6 +36,13 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid((1.0,))
 
+    @pytest.mark.parametrize("make", [Grid.uniform, Grid.log])
+    @pytest.mark.parametrize("n", [-5, -1, 0, 1])
+    def test_spaced_grid_requires_two_points(self, make, n):
+        # numpy itself rejects a negative count with a bare ValueError
+        with pytest.raises(DomainError, match=f"grid needs at least 2 points, got {n}$"):
+            make(0.1, 1.0, n)
+
     def test_requires_positive_start(self):
         with pytest.raises(DomainError):
             Grid((0.0, 1.0))
@@ -120,6 +127,16 @@ class TestPowerRule:
         # t^1.5 passes the float64 range
         with pytest.raises(NonFiniteError):
             rl_integral_power(1.0, 0.5, 1e300)
+
+    def test_gamma_ratio_past_the_range(self):
+        # Gamma(171.5) and Gamma(172.5) both overflow; their ratio is 1/171.5
+        assert rl_integral_power(170.5, 1.0, 1.0) == pytest.approx(
+            1.0 / 171.5, rel=1e-12, abs=0.0)
+
+    def test_float_expression_kept_where_finite(self):
+        for a, v, t in ((1.3, 0.6, 2.5), (150.0, 1.95, 0.02), (-0.5, 0.05, 1e-200)):
+            assert rl_integral_power(a, v, t) == (
+                math.gamma(a + 1.0) / math.gamma(a + 1.0 + v) * t ** (a + v))
 
     @given(st.floats(min_value=0.0, max_value=4.0),
            st.floats(min_value=0.1, max_value=1.5),

@@ -124,6 +124,28 @@ class TestSeriesInvariants:
         with pytest.raises(ConvergenceError, match="cancel"):
             eval_solution(sol, t_bad)
 
+    @pytest.mark.parametrize("spec,forcing,v,k", [
+        (SPEC, "plain", 0.75, 85),
+        (SPEC, "powered", 2.0, 42),
+        # Gamma(0.001 k - 0.3) is negative: the sign of the reciprocal pair
+        (SeriesSpec(lam=1.0, alpha=0.001, mu=-0.3, order=1.0), "plain", 0.75, 90),
+    ])
+    def test_coefficient_past_gamma_overflow(self, spec, forcing, v, k):
+        # Gamma(2k + l + 2), or Gamma((2k + l + 1) v + 1), overflows while
+        # the reciprocal gammas bring the coefficient back into range
+        make = {"plain": KineticProblem.plain_time,
+                "powered": KineticProblem.powered_time}[forcing]
+        sol = build_solution(make(spec, v=v, d=1.0), SolutionMode.CORRECTED,
+                             truncation_k=k)
+        with mp.workdps(40):
+            e = 2 * k + mp.mpf(spec.order) + 1
+            top = e + 1 if forcing == "plain" else e * v + 1
+            want = float((-1) ** k * mp.gamma(top) * mp.rgamma(spec.alpha * k + mp.mpf(spec.mu))
+                         * mp.rgamma(spec.lam * k + mp.mpf(spec.sigma)) / mp.mpf(2) ** e)
+        assert sol.terms[k].coeff == pytest.approx(want, rel=1e-12, abs=0.0)
+        if forcing == "plain" and spec == SPEC:
+            assert want == pytest.approx(-0.060574, rel=1e-4)
+
     def test_modes_differ_by_unit_shift_with_equal_coefficients(self):
         p = KineticProblem.powered_time(SPEC, v=0.75, d=1.0)
         k = 6

@@ -354,6 +354,55 @@ class TestMittagLefflerTiers:
         assert abs(mittag_leffler_grid(4.0, [1.0], [-x])[0, 0] - want) <= 1e-12 * scale
 
 
+class TestOneEscalationPath:
+    """A scalar call and a one-entry grid escalate through one shared path.
+
+    Inside a larger grid the batched contour sums can differ in the last
+    bit, so each grid here holds the one entry.
+    """
+
+    @pytest.fixture
+    def mpmath_calls(self, monkeypatch):
+        calls = []
+
+        def counted(original):
+            def call(*args):
+                calls.append(args)
+                return original(*args)
+            return call
+
+        for name in ("_ml_extended", "_struve_extended"):
+            monkeypatch.setattr(sf, name, counted(getattr(sf, name)))
+        return calls
+
+    @pytest.mark.parametrize("alpha,beta,z,mpmath", [
+        (1.0, 2.0, -99.0, False), (1.5, 0.5, -60.0, False), (1.0, 1.0, -99.0, True)])
+    def test_mittag_leffler(self, mpmath_calls, alpha, beta, z, mpmath):
+        assert not sf._series_float(z, ((alpha, beta),), deep=True)[1]
+        scalar = mittag_leffler(alpha, beta, z)
+        assert len(mpmath_calls) == mpmath
+        assert mittag_leffler_grid(alpha, [beta], [z])[0, 0] == scalar
+        assert len(mpmath_calls) == 2 * mpmath
+
+    @pytest.mark.parametrize("v,z,mpmath", [(0.5, 20.0, True), (-0.5, 5e-324, False)])
+    def test_struve(self, mpmath_calls, v, z, mpmath):
+        scalar = struve_h(v, z)
+        assert len(mpmath_calls) == mpmath
+        assert generalized_struve_grid(SeriesSpec.struve(v), [z])[0] == scalar
+        assert len(mpmath_calls) == 2 * mpmath
+
+    def test_contour_leaves_nonnegative_z_alone(self):
+        betas, zs = [1.0, 1.0, 2.0, 0.5], [-3.0, 0.0, 2.0, -60.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, est = sf._ml_contour(0.75, betas, zs)
+        assert np.all(np.isinf(est[1:3]))
+        for j in (0, 3):
+            assert est[j] <= 1e-12 * abs(values[j])
+            want = float(mlf_laplace(0.75, betas[j], zs[j]))
+            assert values[j] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def classical_struve_reference(v: float, z: float, terms: int = 80) -> float:
     """Literal textbook series, summed directly with math.gamma."""
     total = 0.0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,20 @@ class TestPowerTransform:
         # u^a in the first case, Gamma(a+1) in the second
         with pytest.raises(NonFiniteError):
             sumudu_power(a, u)
+
+    @pytest.mark.parametrize("a,u,approx", [(150.0, 1e-3, 5.7134e-188),
+                                            (200.0, 0.01, 7.8866e-26)])
+    def test_factors_past_the_range_in_opposite_directions(self, a, u, approx):
+        # u^a underflows to 0 in the first case, Gamma(a+1) = Gamma(201)
+        # overflows in the second, and the product is in range
+        with mp.workdps(40):
+            want = float(mp.mpf(u) ** a * mp.gamma(a + 1))
+        assert sumudu_power(a, u) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert want == pytest.approx(approx, rel=1e-4)
+
+    def test_float_expression_kept_where_finite(self):
+        for a, u in ((2.0, 0.5), (0.3, 7.1), (120.0, 0.04), (-0.5, 1e-300)):
+            assert sumudu_power(a, u) == u ** a * math.gamma(a + 1.0)
 
 
 class TestNumericTransform:

@@ -23,8 +23,10 @@ import numpy as np
 from .errors import FrackinError
 from .fractional_ops import Grid
 from .kinetic import (
+    Forcing,
     KineticProblem,
     SolutionMode,
+    _family_problem,
     build_solution,
     corollary_params,
     eval_solution_grid,
@@ -106,10 +108,20 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
                    help="initial number density (default 1)")
 
 
-def _add_mode_flag(p: argparse.ArgumentParser) -> None:
+def _add_table_parser(sub, name: str, command_help: str, selector: str, *,
+                      templates: bool = False, **family) -> None:
+    """`solve` or `corollary`: the family flag `selector`, made with the
+    keywords `family`, then the same flags, all run by `_cmd_table`."""
+    p = sub.add_parser(name, help=command_help)
+    p.add_argument(selector, type=int, required=True, **family)
+    _add_series_flags(p, templates)
+    _add_problem_flags(p)
     p.add_argument("--mode", choices=("stated", "corrected"),
                    default="corrected",
                    help="series convention to evaluate (default corrected)")
+    _add_grid_flags(p, default_n=200)
+    _add_output_flags(p)
+    p.set_defaults(func=_cmd_table)
 
 
 def _make_grid(args) -> Grid:
@@ -122,6 +134,12 @@ def _make_spec(args) -> SeriesSpec:
     mu = 1.5 if args.mu is None else args.mu
     return SeriesSpec(lam=args.lam, alpha=args.alpha_p, mu=mu,
                       order=args.order, sigma=args.sigma)
+
+
+def _spec_params(spec: SeriesSpec) -> dict:
+    """The series parameters of a table's meta, by their flag names."""
+    return {"lambda": spec.lam, "alpha_p": spec.alpha, "mu": spec.mu,
+            "l": spec.order, "sigma": spec.sigma}
 
 
 def _problem(args) -> tuple[KineticProblem, dict]:
@@ -142,27 +160,19 @@ def _problem(args) -> tuple[KineticProblem, dict]:
             lam=args.lam, alpha=args.alpha_p,
             mu=1.0 if args.mu is None else args.mu)
         return problem, {key: ident}
-    spec = _make_spec(args)
-    if ident == 3:
-        if args.relax is None:
-            raise FrackinError("family 3 requires --relax distinct from --d")
-        problem = KineticProblem.powered_time_distinct(
-            spec, v=args.v, d=args.d, relax=args.relax, n0=args.n0)
-    else:
-        if args.relax is not None and args.relax != args.d:
-            raise FrackinError(f"family {ident} ties the relaxation rate to --d")
-        make = (KineticProblem.plain_time if ident == 1
-                else KineticProblem.powered_time)
-        problem = make(spec, v=args.v, d=args.d, n0=args.n0)
+    # unlike the templates, family 3 has no default rate here
+    if ident == 3 and args.relax is None:
+        raise FrackinError("family 3 requires --relax distinct from --d")
+    problem = _family_problem(
+        ident, _make_spec(args), Forcing.PLAIN if ident == 1 else Forcing.POWERED,
+        ident == 3, v=args.v, d=args.d, relax=args.relax, n0=args.n0)
     return problem, {key: ident}
 
 
 def _cmd_eval_struve(args) -> int:
     spec = _make_spec(args)
     values = [generalized_struve(spec, z) for z in args.z]
-    meta = {"command": "eval-struve",
-            "params": {"lambda": spec.lam, "alpha_p": spec.alpha,
-                       "mu": spec.mu, "l": spec.order, "sigma": spec.sigma}}
+    meta = {"command": "eval-struve", "params": _spec_params(spec)}
     _emit(args, meta, ["z", "value"], (args.z, values), {"n": len(values)})
     return 0
 
@@ -187,9 +197,7 @@ def _cmd_table(args) -> int:
     grid = _make_grid(args)
     mode = SolutionMode(args.mode)
     sol = build_solution(problem, mode, t_max=grid.points[-1])
-    spec = problem.forcing_spec
-    params = {"lambda": spec.lam, "alpha_p": spec.alpha, "mu": spec.mu,
-              "l": spec.order, "sigma": spec.sigma, "d": args.d,
+    params = {**_spec_params(problem.forcing_spec), "d": args.d,
               "relax": problem.relax, "v": args.v, "n0": args.n0, **source}
     return _table(args, {"command": args.subcommand, "params": params}, grid,
                   sol, {"mode": mode.value, "truncation_k": sol.truncation_k})
@@ -261,18 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_eval_mlf)
 
-    p = sub.add_parser("solve",
-                       help="tabulate a kinetic-equation solution series")
-    p.add_argument("--theorem", type=int, choices=(1, 2, 3), required=True,
-                   help="solution family: 1 plain-time forcing, 2 "
-                        "powered-time, 3 powered-time with distinct "
-                        "relaxation rate")
-    _add_series_flags(p)
-    _add_problem_flags(p)
-    _add_mode_flag(p)
-    _add_grid_flags(p, default_n=200)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_table)
+    _add_table_parser(sub, "solve", "tabulate a kinetic-equation solution series",
+                      "--theorem", choices=(1, 2, 3),
+                      help="solution family: 1 plain-time forcing, 2 "
+                           "powered-time, 3 powered-time with distinct "
+                           "relaxation rate")
 
     p = sub.add_parser("verify",
                        help="residual-adjudicate both series conventions")
@@ -291,16 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("corollary",
-                       help="tabulate one of the twelve specialized series")
-    p.add_argument("--id", type=int, choices=range(1, 13), required=True,
-                   metavar="{1..12}", help="specialized family id")
-    _add_series_flags(p, templates=True)
-    _add_problem_flags(p)
-    _add_mode_flag(p)
-    _add_grid_flags(p, default_n=200)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_table)
+    _add_table_parser(sub, "corollary",
+                      "tabulate one of the twelve specialized series", "--id",
+                      templates=True, choices=range(1, 13), metavar="{1..12}",
+                      help="specialized family id")
 
     p = sub.add_parser("haubold",
                        help="tabulate the pure-relaxation baseline")

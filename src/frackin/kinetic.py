@@ -144,7 +144,9 @@ class KineticProblem:
         if self.forcing_argument is Forcing.PLAIN:
             zs = ts
         else:
-            zs = (self.d * ts) ** self.v
+            # past the float64 range the Struve grid refuses the argument
+            with np.errstate(over="ignore"):
+                zs = (self.d * ts) ** self.v
         return self.n0 * generalized_struve_grid(self.forcing_spec, zs)
 
 
@@ -275,7 +277,7 @@ def build_solution(
     t_max = float(t_max)
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
-    x = -((problem.relax * t_max) ** problem.v)
+    x = _ml_argument(problem.relax, t_max, problem.v)
     terms: list[SolutionTerm] = []
     run_max = 0.0
     state = (0.0, 0.0, 0.0)
@@ -296,6 +298,17 @@ def build_solution(
         f"solution series did not meet the tail criterion at t_max={t_max!r} "
         f"within the {MAX_SOLUTION_TERMS}-term cap"
     )
+
+
+def _ml_argument(rate: float, t: float, v: float) -> float:
+    """-(rate t)^v, the Mittag-Leffler argument at time t, as a Python
+    float; DomainError where it leaves the float64 range."""
+    try:
+        return -((rate * t) ** v)
+    except OverflowError:
+        raise DomainError(
+            f"-(rate*t)^v overflows float64 at rate={rate!r}, t={t!r}, v={v!r}"
+        ) from None
 
 
 def _tail_step(state, term, counts: bool):
@@ -352,7 +365,9 @@ def _series_sums(sol: SolutionSeries, ts: np.ndarray):
     coeffs = np.array([t.coeff for t in sol.terms])
     powers = np.array([t.power for t in sol.terms])
     betas = np.array([t.ml_beta for t in sol.terms])
-    x = -((sol.rate * ts) ** sol.ml_alpha)
+    # past the float64 range the Mittag-Leffler grid refuses the argument
+    with np.errstate(over="ignore"):
+        x = -((sol.rate * ts) ** sol.ml_alpha)
     ml = mittag_leffler_grid(sol.ml_alpha, betas, x)
     term_matrix = coeffs[:, None] * (ts[None, :] ** powers[:, None]) * ml
     n = ts.size
@@ -411,7 +426,7 @@ def haubold_solution(c: float, v: float, t: float, n0: float = 1.0) -> float:
         raise DomainError(f"haubold_solution requires t >= 0, got {t!r}")
     if t == 0.0:
         return float(n0)
-    return float(n0) * mittag_leffler(v, 1.0, -((c * t) ** v))
+    return float(n0) * mittag_leffler(v, 1.0, _ml_argument(c, t, v))
 
 
 def haubold_series(c: float, v: float, n0: float = 1.0) -> SolutionSeries:
@@ -476,19 +491,28 @@ class CorollaryTemplate:
         mu: float = 1.0,
     ) -> KineticProblem:
         spec = self.make_spec(order, lam=lam, alpha=alpha, mu=mu)
-        if self.distinct_relax:
-            r = 0.6 * float(d) if relax is None else float(relax)
-            return KineticProblem.powered_time_distinct(
-                spec, v=v, d=d, relax=r, n0=n0
-            )
-        if relax is not None and float(relax) != float(d):
-            raise DomainError(
-                f"family {self.cid} ties the relaxation rate to d; "
-                "got a distinct relax"
-            )
-        if self.forcing_argument is Forcing.PLAIN:
-            return KineticProblem.plain_time(spec, v=v, d=d, n0=n0)
-        return KineticProblem.powered_time(spec, v=v, d=d, n0=n0)
+        if self.distinct_relax and relax is None:
+            relax = 0.6 * float(d)
+        return _family_problem(self.cid, spec, self.forcing_argument,
+                               self.distinct_relax, v=v, d=d, relax=relax, n0=n0)
+
+
+def _family_problem(family: int, spec: SeriesSpec, forcing: Forcing,
+                    distinct: bool, *, v: float, d: float, relax: float | None,
+                    n0: float) -> KineticProblem:
+    """The problem of a family by its forcing and whether its relaxation
+    rate is distinct from d; a tied family refuses a distinct `relax`."""
+    if distinct:
+        return KineticProblem.powered_time_distinct(
+            spec, v=v, d=d, relax=relax, n0=n0
+        )
+    if relax is not None and float(relax) != float(d):
+        raise DomainError(
+            f"family {family} ties the relaxation rate to d; got a distinct relax"
+        )
+    if forcing is Forcing.PLAIN:
+        return KineticProblem.plain_time(spec, v=v, d=d, n0=n0)
+    return KineticProblem.powered_time(spec, v=v, d=d, n0=n0)
 
 
 def corollary_params(cid: int) -> CorollaryTemplate:

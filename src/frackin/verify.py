@@ -11,12 +11,13 @@ quadrature error, which shrinks.
 
 One loop, `_reports`, serves `residual`, `adjudicate` and
 `haubold_residual`.  It substitutes any candidate, given in parts: a
-builder of each mode's series, N0*f as a function of the times, and the
-rate and order of the memory term.  `kinetic` supplies what the loop
-reads off a problem and a series: the series, the forcing
-(`KineticProblem.forcing`; the baseline's is the constant N0), and the
-series' limit at t -> 0+ (`SolutionSeries.origin_value`), the
-quadrature's origin sample.
+builder of each mode's series and N0*f as a function of the times.
+`kinetic` supplies what the loop reads off a problem and a series: the
+series, the forcing (`KineticProblem.forcing`; the baseline's is the
+constant N0), the rate and order of the memory term, which each series
+carries (`SolutionSeries.rate` and `ml_alpha`), and the series' limit
+at t -> 0+ (`SolutionSeries.origin_value`), the quadrature's origin
+sample.
 
 The loop does each piece of work once: it builds each mode's series
 once, and sums it and the forcing once, on the refined grid.
@@ -120,24 +121,24 @@ def _candidate(problem: KineticProblem, grid: Grid):
         "n0": problem.n0,
     }
     return (lambda mode: build_solution(problem, mode, t_max=grid.points[-1]),
-            problem.forcing, problem.relax, problem.v, summary)
+            problem.forcing, summary)
 
 
 def _reports(grid: Grid, modes: tuple[SolutionMode, ...], build, forcing,
-             relax: float, v: float, summary: dict, *, refined: bool = False,
-             tol_rel: float, warn: bool,
-             t_cap: float = math.inf) -> list[ResidualReport]:
+             summary: dict, *, refined: bool = False, tol_rel: float,
+             warn: bool, t_cap: float = math.inf) -> list[ResidualReport]:
     """Residual report of each mode on the grid, then, when `refined`, of
     each mode on `grid.refine()`.
 
     The candidate comes in parts: `build(mode)` makes a mode's series,
-    `forcing(ts)` gives N0*f at an array of times, and `relax` and `v`
-    make the memory term relax^v * I^v N.  The reports are those of one
-    call per grid and mode, with each piece of work done once (see the
-    module docstring): each series is built once and summed on the
-    finest grid, as is the forcing, and the grid takes every other
-    entry.  Each grid's sums are certified at that grid's own scale, in
-    the order one call per grid and mode would raise.
+    whose `rate` and `ml_alpha` are the relax and v of the memory term
+    relax^v * I^v N, and `forcing(ts)` gives N0*f at an array of times.
+    The reports are those of one call per grid and mode, with each piece
+    of work done once (see the module docstring): each series is built
+    once and summed on the finest grid, as is the forcing, and the grid
+    takes every other entry.  Each grid's sums are certified at that
+    grid's own scale, in the order one call per grid and mode would
+    raise.
     """
     if not abs(tol_rel) < math.inf:
         raise DomainError(f"residual tolerance must be finite, got {tol_rel!r}")
@@ -157,14 +158,14 @@ def _reports(grid: Grid, modes: tuple[SolutionMode, ...], build, forcing,
             if mode not in sols:
                 sols[mode] = build(mode)
                 sums[mode] = _series_sums(sols[mode], ts)
-            values = _certified(sols[mode], ts[level],
-                                *(a[level] for a in sums[mode]))
+            sol = sols[mode]
+            values = _certified(sol, ts[level], *(a[level] for a in sums[mode]))
             if n0f is None:
                 n0f = forcing(ts)
             f = n0f[level]
-            origin = sols[mode].origin_value()
-            memory = rl_profile(g, np.concatenate(([origin], values)), v)
-            res = values - f + relax ** v * memory
+            origin = sol.origin_value()
+            memory = rl_profile(g, np.concatenate(([origin], values)), sol.ml_alpha)
+            res = values - f + sol.rate ** sol.ml_alpha * memory
             scale = float(np.max(np.abs(f)))
             reports.append(ResidualReport(
                 problem_summary=summary, mode=mode, grid=g, residual=res,
@@ -174,9 +175,9 @@ def _reports(grid: Grid, modes: tuple[SolutionMode, ...], build, forcing,
                 # the half-resolution subgrid, compared at the shared points.
                 coarse = Grid(g.array[1::2])
                 coarse_samples = np.concatenate(([origin], values[1::2]))
-                coarse_memory = rl_profile(coarse, coarse_samples, v)
+                coarse_memory = rl_profile(coarse, coarse_samples, sol.ml_alpha)
                 est = float(np.max(np.abs(memory[1::2] - coarse_memory))) / 3.0
-                est *= relax ** v
+                est *= sol.rate ** sol.ml_alpha
                 if est > 0.5 * tol_rel * max(scale, 1e-300):
                     warnings.warn(
                         f"quadrature error estimate {est:.3e} exceeds half the "
@@ -263,6 +264,6 @@ def haubold_residual(
     summary = {"forcing_argument": "constant", "v": v, "relax": c, "n0": n0}
     (report,) = _reports(grid, (SolutionMode.CORRECTED,),
                          lambda mode: haubold_series(c, v, n0),
-                         lambda ts: np.full(ts.shape, n0), c, v, summary,
+                         lambda ts: np.full(ts.shape, n0), summary,
                          tol_rel=tol_rel, warn=warn)
     return report

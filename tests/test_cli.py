@@ -280,6 +280,14 @@ class TestProblemFlags:
         assert out.stderr == ("frackin: error: family 1 ties the relaxation "
                               "rate to d; got a distinct relax\n")
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_theorem_tied_rate_refuses_relax(self, command):
+        out = run_cli(command, "--theorem", "1", "--l", "1", "--v", "0.75",
+                      "--relax", "2", "--n", "64")
+        assert out.returncode == 3
+        assert out.stderr == ("frackin: error: family 1 ties the relaxation "
+                              "rate to d; got a distinct relax\n")
+
     def test_verify_corollary_default_relax(self):
         doc = self.json_doc("verify", "--corollary", "3", "--v", "0.75",
                             "--n", "64")
@@ -350,6 +358,27 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"frackin: error: grid needs at least 2 points, got {argv[-1]}\n"
+
+    # rates whose (rate t)^v or (d t)^v leave the float64 range
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--theorem", "2", "--l", "1", "--d", "1e200", "--v", "2",
+         "--n", "5"],
+        ["verify", "--theorem", "2", "--l", "1", "--d", "1e200", "--v", "2",
+         "--n", "64"],
+        ["solve", "--theorem", "1", "--l", "1", "--d", "1e200", "--v", "2",
+         "--n", "5"],
+        ["solve", "--theorem", "3", "--l", "1", "--relax", "1e200", "--v",
+         "2", "--n", "5"],
+        ["corollary", "--id", "2", "--d", "1e200", "--v", "2"],
+        ["haubold", "--c", "1e200", "--v", "2", "--n", "5"],
+    ], ids=["solve-2", "verify-2", "solve-1", "solve-3", "corollary-2",
+            "haubold"])
+    def test_overflowing_rate_is_3(self, argv):
+        out = run_cli(*argv, env={**os.environ, "PYTHONWARNINGS": "default"})
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("frackin: error:")
 
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",

@@ -17,7 +17,7 @@ from frackin import (
     rl_integral_power,
     rl_profile,
 )
-from frackin.fractional_ops import _BLOCK, _self_similar_tail
+from frackin.fractional_ops import _BLOCK, _convolved, _self_similar_tail
 
 
 class TestGrid:
@@ -305,6 +305,25 @@ def _block_edge_grids():
              _dropped_last(Grid.log(0.01, 2.0, m + 1).refine()), (2, 2, True)),
         ]
     return out
+
+
+class TestConvolved:
+    """_convolved is numpy.convolve's first m entries, summed by blocks."""
+
+    @pytest.mark.parametrize("m", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 5])
+    @pytest.mark.parametrize("k_size", ["shorter", "equal", "longer"])
+    def test_matches_numpy_convolve(self, m, k_size):
+        rng = np.random.default_rng(m)
+        k_len = {"shorter": m // 2 + 1, "equal": m, "longer": m + 9}[k_size]
+        xs = [rng.standard_normal(m) for _ in range(2)]
+        ks = [rng.standard_normal(k_len) for _ in range(2)]
+        got = _convolved(xs, ks, m)
+        want = sum(np.convolve(x, k)[:m] for x, k in zip(xs, ks))
+        bound = sum(np.convolve(np.abs(x), np.abs(k))[:m]
+                    for x, k in zip(xs, ks))
+        assert got.shape == (m,)
+        assert np.all(np.abs(got - want) <= 1e-14 * bound)
 
 
 class TestBlockedTails:

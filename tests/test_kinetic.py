@@ -258,6 +258,11 @@ class TestHaubold:
         with pytest.raises(DomainError):
             haubold_solution(1.0, 0.5, -1.0)
 
+    def test_overflowing_argument(self):
+        # (c t)^v past the float64 range: refused, not a bare OverflowError
+        with pytest.raises(DomainError):
+            haubold_solution(1e200, 2.0, 1.0)
+
 
 def displayed_plain_series(n0, l, v, d, t, spec_gammas, terms=40):
     """Literal transcription: (N0/2) sum (-1)^k G(2k+l+2)/gammas

@@ -134,8 +134,8 @@ class KineticProblem:
         """Family 3: forcing H(d^v t^v) with a relaxation rate distinct from d."""
         if float(relax) == float(d):
             raise DomainError(
-                "the distinct-rate family requires relax != d; use powered_time "
-                "when the rates coincide"
+                "the distinct-rate family requires relax != d; equal rates are "
+                "the tied powered-time family"
             )
         return cls(spec, Forcing.POWERED, v, d, relax, n0)
 
@@ -335,12 +335,13 @@ def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
     Each point is summed in ascending k with compensated accumulation and
     truncated adaptively by `_tail_step`, at the first term below 1e-14
     of the largest partial sum.  ConvergenceError is raised where the
-    result cannot be certified: if a multi-term series runs out of terms
-    before a point meets that rule (the built truncation cannot certify
-    its tail there; a single-term series is a closed form and is taken as
-    exact), or where eps times the largest term summed at a point exceeds
-    1e-10 of the largest value on the grid (the terms cancel past what
-    float64 carries).
+    result cannot be certified, naming the first cause that applies: a
+    sum past the float64 range; eps times the largest term summed at a
+    point above 1e-10 of the largest value on the grid (the terms cancel
+    past what float64 carries); or a multi-term series that runs out of
+    terms before a point meets the tail rule (the built truncation cannot
+    certify its tail there; a single-term series is a closed form and is
+    taken as exact).
     """
     if not isinstance(sol, SolutionSeries):
         raise DomainError("eval_solution_grid expects a SolutionSeries")
@@ -352,22 +353,24 @@ def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
     return _certified(sol, ts, *_series_sums(sol, ts))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _series_sums(sol: SolutionSeries, ts: np.ndarray):
     """eval_solution_grid's sums before certification.
 
     Returns (total, largest term summed, whether the tail rule was met),
-    each per point.  Each point is summed on its own (the Mittag-Leffler
-    grid's common last term is set by the largest time), so a subset of
-    `ts` that keeps the largest time, as a grid's `refine()` keeps all of
-    the grid, gets the sums of a call on that subset alone, to the last
-    bit of numpy's vectorised powers.
+    each per point.  Each point is summed on its own, to its own tail, so
+    a subset of `ts` that keeps the largest time, as a grid's `refine()`
+    keeps all of the grid, gets the sums of a call on that subset alone
+    up to the rounding of the Mittag-Leffler grid, whose float64 sums
+    share their term count within each block of points.  Terms past the
+    float64 range leave their point's total non-finite for `_certified`
+    to name, with no numpy warning.
     """
     coeffs = np.array([t.coeff for t in sol.terms])
     powers = np.array([t.power for t in sol.terms])
     betas = np.array([t.ml_beta for t in sol.terms])
     # past the float64 range the Mittag-Leffler grid refuses the argument
-    with np.errstate(over="ignore"):
-        x = -((sol.rate * ts) ** sol.ml_alpha)
+    x = -((sol.rate * ts) ** sol.ml_alpha)
     ml = mittag_leffler_grid(sol.ml_alpha, betas, x)
     term_matrix = coeffs[:, None] * (ts[None, :] ** powers[:, None]) * ml
     n = ts.size
@@ -384,12 +387,19 @@ def _series_sums(sol: SolutionSeries, ts: np.ndarray):
 
 
 def _certified(sol, ts, total, largest, adequate) -> np.ndarray:
-    """`total` once eval_solution_grid's two checks pass on the grid `ts`."""
-    if not np.all(adequate):
-        worst = float(ts[np.argmax(~adequate)])
+    """`total` once eval_solution_grid's checks pass on the grid `ts`.
+
+    The checks run from the cause no truncation can mend to the one a
+    longer series can: a sum past the float64 range, then terms that
+    cancel past what float64 carries, then a tail the truncation cannot
+    certify.
+    """
+    finite = np.isfinite(total)
+    if not np.all(finite):
         raise ConvergenceError(
-            f"series truncation (k={sol.truncation_k}) cannot certify its "
-            f"tail at t={worst!r}; rebuild with a larger truncation or t_max"
+            f"series terms leave the float64 range at "
+            f"t={float(ts[np.argmin(finite)])!r}: no truncation can certify "
+            "the sum there"
         )
     scale = float(np.max(np.abs(total)))
     lost = _EPS * largest > _EVAL_CANCEL * scale
@@ -399,6 +409,12 @@ def _certified(sol, ts, total, largest, adequate) -> np.ndarray:
             f"series terms up to {largest[i]:.3g} cancel at t={float(ts[i])!r} "
             f"against values of at most {scale:.3g}: float64 cannot certify "
             "the sum there"
+        )
+    if not np.all(adequate):
+        worst = float(ts[np.argmax(~adequate)])
+        raise ConvergenceError(
+            f"series truncation (k={sol.truncation_k}) cannot certify its "
+            f"tail at t={worst!r}; rebuild with a larger truncation or t_max"
         )
     return total
 

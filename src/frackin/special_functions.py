@@ -3,16 +3,23 @@
 Both families are power series in one argument with reciprocal-gamma
 coefficients, E_{a,b}(z) = sum_n z^n / Gamma(a n + b) and
 H(z) = (z/2)^(l+1) sum_k (-(z/2)^2)^k / (Gamma(alpha k + mu) Gamma(lam k + sigma)),
-and one engine sums both.  Its three kernels, `_series_float`,
-`_series_grid` and `_series_mp`, are the module's only summation loops.
-Each value comes from the first tier whose own a-posteriori estimate
-vouches for it:
+and one engine sums both.  Its four kernels, `_series_float`,
+`_series_grid`, `_ml_products` and `_series_mp`, are the module's only
+summations.  Each value comes from the first tier whose own a-posteriori
+estimate vouches for it:
 
-1. The float64 series: `_series_float` for one argument, `_series_grid`
-   for a grid.  Both sum with compensated (Kahan) accumulation until a
-   term drops below 1e-16 of the largest partial-sum magnitude (after at
-   least 6 terms, within 500), and both are judged by `_float_accepted`,
-   which rejects alternating sums that cancel past what float64 carries.
+1. The float64 series, judged by `_float_accepted`, which rejects
+   alternating sums that cancel past what float64 carries.  It stops
+   once a term drops below 1e-16 of the sum's size (after at least 6
+   terms, within 500).  `_series_float` sums one argument and
+   `_series_grid` a grid, both with compensated (Kahan) accumulation,
+   measuring the size as the largest partial sum.  A Mittag-Leffler grid
+   of several rows goes to `_ml_products` instead: one coefficient table
+   times a matrix of powers per block of points, in BLAS, measuring the
+   size as the sum of |terms|.  That sum bounds every partial sum, so
+   its budget is never looser than the loop's.  Grids of one row (every
+   Struve grid, a single Mittag-Leffler term) keep `_series_grid`,
+   which is faster there and matches the scalar path's Kahan sums.
 2. Mittag-Leffler only, for z < 0 and alpha <= 2: a float64 trapezoid
    rule on a parabolic inverse-Laplace contour (`_ml_contour`, batched
    over a whole grid).
@@ -22,7 +29,7 @@ vouches for it:
    not converge and NonFiniteError where the value leaves float64 range.
 
 Grids decide the tier entry by entry, and a rejected entry goes on to
-the next tier alone.  Only tier 1 has a scalar and a grid kernel, as a
+the next tier alone.  Only tier 1 has scalar and grid kernels, as a
 length-1 grid costs 10-40 times as much as `_series_float`.  Past it
 each family has one escalation path that its scalar and grid entry
 points share: `_ml_rescue` for the rejected Mittag-Leffler entries, and
@@ -663,14 +670,91 @@ def _contour_rules(alpha: float, betas: np.ndarray, zs: np.ndarray):
     return values, est
 
 
+def _ml_terms(coeff, g, x: float):
+    """How many terms of the table `coeff` (gamma arguments `g`) the tail
+    rule needs at |z| = x, and whether the table is long enough to tell.
+
+    Each row's term must be at most _TAIL of its running sum of |terms|,
+    once the scan started; a row whose 1/Gamma has underflowed no longer
+    counts.  The count stops short of powers past float64 range.
+    """
+    m = coeff.shape[1]
+    powers = np.cumprod(np.concatenate(([1.0], np.full(m - 1, x))))
+    cap = m if np.isfinite(powers[-1]) else int(np.argmin(np.isfinite(powers)))
+    term = np.abs(coeff[:, :cap]) * powers[:cap]
+    met = (term <= _TAIL * np.cumsum(term, axis=1)) & (g[:, :cap] > 0.0)
+    met |= g[:, :cap] > _GAMMA_OVERFLOW
+    met[:, :_MIN_TERMS] = False
+    hits = np.flatnonzero(met.all(axis=0))
+    if hits.size:
+        return int(hits[0]) + 1, True
+    return cap, cap < m or m >= MAX_TERMS
+
+
+# columns per block of `_ml_products`; each block sums as many terms as
+# its own largest |z| needs
+_BLOCK = 512
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _ml_products(alpha: float, betas: np.ndarray, zs: np.ndarray, deep: np.ndarray):
+    """Tier 1 for a Mittag-Leffler grid of several rows, as matrix products.
+
+    C[r, n] = 1/Gamma(alpha n + betas[r]) is built once.  Each block of
+    _BLOCK columns takes the prefix of C its largest |z| needs, with the
+    powers V[n, j] = zs[j]^n: the values are C @ V, the sums of |terms|
+    |C| @ |V|, and below _DEEP the rounding bound one more product.  An
+    entry has converged when its row's last term before 1/Gamma underflows
+    is at most _TAIL of its sum of |terms|, which bounds the largest
+    partial sum in `_float_accepted`'s budget.  Powers past the float64
+    range pass silently.  Returns (values, accepted).
+    """
+    rows = np.arange(betas.size)
+    coeff = np.empty((betas.size, 0))
+    rgamma = np.frompyfunc(reciprocal_gamma, 1, 1)
+    decided = False
+    while not decided:
+        # 32 more terms until the largest |z| decides the tail rule
+        g = alpha * np.arange(min(coeff.shape[1] + 32, MAX_TERMS)) + betas[:, None]
+        coeff = np.hstack((coeff, rgamma(g[:, coeff.shape[1]:]).astype(float)))
+        decided = _ml_terms(coeff, g, np.max(np.abs(zs)))[1]
+    # a row's live terms end where its 1/Gamma underflows
+    dead = g > _GAMMA_OVERFLOW
+    live = np.where(dead.any(axis=1), np.argmax(dead, axis=1), g.shape[1])
+    weight = np.abs(coeff) * (np.arange(g.shape[1]) + np.abs(g) + 4.0)
+    values, mag = np.zeros((2, betas.size, zs.size))
+    rounding = np.zeros_like(values) if deep.any() else None
+    converged = np.zeros(values.shape, dtype=bool)
+    for start in range(0, zs.size, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        n = _ml_terms(coeff, g, np.max(np.abs(zs[cols])))[0]
+        # z^0 .. z^(n-1) of one point to a row, each the loop's xn
+        powers = np.empty((zs[cols].size, n))
+        powers[:, 0], powers[:, 1:] = 1.0, zs[cols, None]
+        np.cumprod(powers, axis=1, out=powers)
+        size = np.abs(powers).T
+        values[:, cols] = coeff[:, :n] @ powers.T
+        mag[:, cols] = np.abs(coeff[:, :n]) @ size
+        if rounding is not None and deep[cols].any():
+            rounding[:, cols] = np.where(deep[cols], weight[:, :n] @ size, 0.0)
+        last = np.minimum(n, live) - 1
+        started = (last >= _MIN_TERMS) & (g[rows, last] > 0.0)
+        term = coeff[rows, last][:, None] * powers[:, last].T
+        converged[:, cols] = started[:, None] & (np.abs(term) <= _TAIL * mag[:, cols])
+    converged &= np.isfinite(values)
+    return values, _float_accepted(values, mag, converged, rounding)
+
+
 def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     """E_{alpha, betas[i]}(zs[j]) as a (len(betas), len(zs)) array.
 
     Vectorized companion of mittag_leffler with the same three tiers,
-    decided entry by entry: the float64 series, summed for the whole grid
-    and judged by the scalar path's rule; then the scalar path's
-    `_ml_rescue` for the entries it rejects, with one batched contour
-    call for all of them.
+    decided entry by entry.  Tier 1 sums the whole grid: one row with
+    `_series_grid`, the scalar path's loop, and several rows with the
+    blocked products of `_ml_products`, whose budget measures the
+    cancellation against the sum of |terms|, never looser than the loop's
+    largest partial sum.  Each entry tier 1 rejects goes to the scalar
+    path's `_ml_rescue`, with one batched contour call for all of them.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -681,7 +765,10 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
         raise DomainError(f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}")
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
-    total, accepted = _series_grid(zs, ((alpha, betas),), deep=zs < _DEEP)
+    if betas.size == 1:
+        total, accepted = _series_grid(zs, ((alpha, betas),), deep=zs < _DEEP)
+    else:
+        total, accepted = _ml_products(alpha, betas, zs, zs < _DEEP)
     rows, cols = np.nonzero(~accepted)
     if rows.size:
         total[rows, cols] = _ml_rescue(alpha, betas[rows], zs[cols])

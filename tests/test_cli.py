@@ -380,6 +380,24 @@ class TestExitCodes:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("frackin: error:")
 
+    # a sum past the float64 range, and a tied pair of rates for the
+    # distinct-rate family
+    @pytest.mark.parametrize("argv,message", [
+        (["solve", "--theorem", "2", "--l", "1.5", "--d", "2", "--v", "1.96",
+          "--tmax", "4.35", "--n", "400"], "leave the float64 range"),
+        (["solve", "--theorem", "3", "--l", "1", "--v", "0.75", "--relax", "1"],
+         "requires relax != d"),
+    ], ids=["overflowing-sum", "tied-rates"])
+    def test_real_cause_is_named(self, argv, message):
+        out = run_cli(*argv, env={**os.environ, "PYTHONWARNINGS": "default"})
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("frackin: error:")
+        assert message in lines[0]
+        # neither a Python name nor a longer series is offered as the mend
+        assert "powered_time" not in lines[0] and "rebuild" not in lines[0]
+
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",
                       "--z", "200")
@@ -409,6 +427,20 @@ class TestDeterminism:
             assert first.returncode == 0
             assert first.stdout == second.stdout
             assert first.stdout.strip()
+
+    def test_blas_thread_count_leaves_output_unchanged(self):
+        # the Mittag-Leffler grids are matrix products; BLAS splits them
+        # over threads by rows and columns only, so each sum keeps its order
+        argv = ["verify", "--theorem", "1", "--l", "1", "--v", "0.75",
+                "--format", "json"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = run_cli(*argv, env=env)
+            assert out.returncode == 0
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1] and outputs[0].strip()
 
 
 class TestParserReuse:

@@ -124,6 +124,18 @@ class TestSeriesInvariants:
         with pytest.raises(ConvergenceError, match="cancel"):
             eval_solution(sol, t_bad)
 
+    def test_sum_past_float64_range_is_named(self):
+        # at t = 4.35 the terms overflow and the sum is inf or nan; an inf
+        # term would also meet the tail rule (inf <= inf), so the overflow
+        # is checked before cancellation and truncation
+        p = KineticProblem.powered_time(SeriesSpec.struve(1.5), v=1.96, d=2.0)
+        sol = build_solution(p, SolutionMode.CORRECTED, truncation_k=40)
+        with pytest.raises(ConvergenceError, match="float64 range at t=4.35"):
+            eval_solution_grid(sol, np.array([0.5, 4.35]))
+        # one point lower, the terms are finite and cancel
+        with pytest.raises(ConvergenceError, match="cancel at t=2.8"):
+            eval_solution_grid(sol, np.array([0.5, 2.8]))
+
     @pytest.mark.parametrize("spec,forcing,v,k", [
         (SPEC, "plain", 0.75, 85),
         (SPEC, "powered", 2.0, 42),

@@ -403,6 +403,112 @@ class TestOneEscalationPath:
             assert values[j] == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _products_grids(count=6, seed=20261019):
+    """Seeded multi-row grids, alpha in [0.2, 2], 2-40 rows, z in [-100,
+    z_max] with z_max <= 100, two blocks of columns and deep ones among
+    them."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(count):
+        alpha = float(rng.uniform(0.2, 2.0))
+        betas = np.sort(rng.uniform(0.5, 40.0, int(rng.integers(2, 41))))
+        grids.append((alpha, betas, rng))
+    return grids
+
+
+def _ml_series_bound(alpha, beta, z):
+    """E_{alpha,beta}(z) at 40 digits, with the float64 series' summed
+    rounding bound sum_n |t_n| (n + |alpha n + beta| + 4): the n roundings
+    of z^n and the error of 1/Gamma make each term's own error."""
+    with mp.workdps(40):
+        a, b, x = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
+        total = bound = mp.mpf(0)
+        for n in range(sf.MAX_TERMS + 100):
+            g = a * n + b
+            term = x**n * mp.rgamma(g)
+            total += term
+            bound += abs(term) * (n + abs(g) + 4)
+            if g > 0 and abs(term) <= mp.mpf(10) ** -40 * bound:
+                break
+        return float(total), float(bound)
+
+
+class TestMittagLefflerProducts:
+    """`_ml_products`, the float64 tier of grids with several rows."""
+
+    @pytest.mark.parametrize("alpha,betas,rng", _products_grids())
+    def test_accepted_entries_against_mpmath(self, alpha, betas, rng):
+        zs = np.concatenate((rng.uniform(-100.0, 100.0, 600),
+                             [-99.0, -10.5, -3.0, 0.0, 2.0]))
+        values, accepted = sf._ml_products(alpha, betas, zs, zs < sf._DEEP)
+        assert values.shape == accepted.shape == (betas.size, zs.size)
+        # the compensated loop, which one-row grids keep, as the reference
+        loop, loop_accepted = sf._series_grid(zs, ((alpha, betas),), deep=zs < sf._DEEP)
+        entries = np.argwhere(accepted)
+        assert entries.size
+        for i, j in entries[rng.choice(len(entries), min(20, len(entries)), replace=False)]:
+            want, bound = _ml_series_bound(alpha, betas[i], zs[j])
+            tol = 1e-13 * abs(want) + sf._EPS * bound
+            assert abs(values[i, j] - want) <= tol
+            if loop_accepted[i, j]:
+                assert abs(values[i, j] - loop[i, j]) <= 2.0 * tol
+            if zs[j] < sf._DEEP:
+                # below _DEEP the bound itself must pass, as in the loop
+                assert sf._EPS * bound <= 1.01e-12 * abs(want)
+
+    @pytest.mark.parametrize("alpha,betas,rng", _products_grids(count=3, seed=7))
+    def test_grid_values_against_mpmath(self, alpha, betas, rng):
+        # E_{alpha,beta}(z) grows like exp(z^(1/alpha)): keep it in range
+        zs = rng.uniform(-100.0, min(100.0, 30.0 ** alpha), 520)
+        grid = mittag_leffler_grid(alpha, betas, zs)
+        _, accepted = sf._ml_products(alpha, betas, zs, zs < sf._DEEP)
+        for pick in (np.argwhere(accepted), np.argwhere(~accepted)):
+            for i, j in pick[rng.choice(len(pick), min(5, len(pick)), replace=False)]:
+                beta, z = float(betas[i]), float(zs[j])
+                if z < 0.0:
+                    want = float(mlf_laplace(alpha, beta, z))
+                else:
+                    want = _ml_series_bound(alpha, beta, z)[0]
+                scale = max(abs(want), _pole_amplitude(alpha, beta, z))
+                assert abs(grid[i, j] - want) <= 1e-12 * scale
+
+    def test_mixed_block_keeps_small_entries_on_float64(self):
+        # z = -99 sets the block's term count, which -3 and 2 share
+        zs = np.array([-99.0, -3.0, 2.0])
+        values, accepted = sf._ml_products(1.0, np.array([1.0, 2.0]), zs, zs < sf._DEEP)
+        # at -99 the terms cancel past the budget, and the contour serves
+        assert accepted.tolist() == [[False, True, True], [False, True, True]]
+        assert values[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-14)
+        assert values[0, 2] == pytest.approx(math.exp(2.0), rel=1e-14)
+        assert values[1, 2] == pytest.approx(math.expm1(2.0) / 2.0, rel=1e-14)
+
+    def test_row_past_gamma_overflow_is_rejected(self):
+        # from n = 22 on, 1/Gamma(n + 150) underflows to 0 while the terms
+        # 50^n / Gamma(n + 150) have shrunk by only about 1e-11: the zero
+        # terms must not pass for a met tail
+        zs = np.array([50.0, 1.0])
+        values, accepted = sf._ml_products(1.0, np.array([1.0, 150.0]), zs, zs < sf._DEEP)
+        assert accepted.tolist() == [[True, True], [False, True]]
+        grid = mittag_leffler_grid(1.0, [1.0, 150.0], zs)
+        want = _ml_series_bound(1.0, 150.0, 50.0)[0]
+        assert grid[1, 0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 511, 512, 513])
+    def test_block_edges_match_scalar(self, size):
+        betas = [0.5, 1.0, 2.5]
+        zs = np.linspace(-30.0, 20.0, size) if size > 1 else np.array([-3.2])
+        grid = mittag_leffler_grid(0.75, betas, zs)
+        assert grid.shape == (3, size)
+        for j in sorted({0, size // 2, size - 1}):
+            for i, b in enumerate(betas):
+                want = mittag_leffler(0.75, b, float(zs[j]))
+                assert grid[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_empty_grids(self):
+        assert mittag_leffler_grid(1.0, [1.0, 2.0], []).shape == (2, 0)
+        assert mittag_leffler_grid(1.0, [], []).shape == (0, 0)
+
+
 def classical_struve_reference(v: float, z: float, terms: int = 80) -> float:
     """Literal textbook series, summed directly with math.gamma."""
     total = 0.0

@@ -404,15 +404,14 @@ class TestOneEscalationPath:
 
 
 def _products_grids(count=6, seed=20261019):
-    """Seeded multi-row grids, alpha in [0.2, 2], 2-40 rows, z in [-100,
-    z_max] with z_max <= 100, two blocks of columns and deep ones among
-    them."""
-    rng = np.random.default_rng(seed)
+    """Seeded multi-row grids: alpha in [0.2, 2] and 2-40 rows, with a
+    generator of their own for the points."""
     grids = []
-    for _ in range(count):
+    for k in range(count):
+        rng = np.random.default_rng(seed + k)
         alpha = float(rng.uniform(0.2, 2.0))
         betas = np.sort(rng.uniform(0.5, 40.0, int(rng.integers(2, 41))))
-        grids.append((alpha, betas, rng))
+        grids.append(pytest.param(alpha, betas, rng, id=f"seed{seed + k}"))
     return grids
 
 
@@ -438,6 +437,7 @@ class TestMittagLefflerProducts:
 
     @pytest.mark.parametrize("alpha,betas,rng", _products_grids())
     def test_accepted_entries_against_mpmath(self, alpha, betas, rng):
+        # two blocks of columns, deep ones among them
         zs = np.concatenate((rng.uniform(-100.0, 100.0, 600),
                              [-99.0, -10.5, -3.0, 0.0, 2.0]))
         values, accepted = sf._ml_products(alpha, betas, zs, zs < sf._DEEP)

@@ -741,8 +741,7 @@ def _ml_products(alpha: float, betas: np.ndarray, zs: np.ndarray, deep: np.ndarr
         started = (last >= _MIN_TERMS) & (g[rows, last] > 0.0)
         term = coeff[rows, last][:, None] * powers[:, last].T
         converged[:, cols] = started[:, None] & (np.abs(term) <= _TAIL * mag[:, cols])
-    converged &= np.isfinite(values)
-    return values, _float_accepted(values, mag, converged, rounding)
+    return values, _float_accepted(values, mag, converged & np.isfinite(values), rounding)
 
 
 def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:

@@ -3,23 +3,24 @@
 Both families are power series in one argument with reciprocal-gamma
 coefficients, E_{a,b}(z) = sum_n z^n / Gamma(a n + b) and
 H(z) = (z/2)^(l+1) sum_k (-(z/2)^2)^k / (Gamma(alpha k + mu) Gamma(lam k + sigma)),
-and one engine sums both.  Its four kernels, `_series_float`,
-`_series_grid`, `_ml_products` and `_series_mp`, are the module's only
-summations.  Each value comes from the first tier whose own a-posteriori
-estimate vouches for it:
+and one engine sums both.  Its three kernels, `_series_float`,
+`_series_products` and `_series_mp`, are the module's only summations.
+Each value comes from the first tier whose own a-posteriori estimate
+vouches for it:
 
 1. The float64 series, judged by `_float_accepted`, which rejects
    alternating sums that cancel past what float64 carries.  It stops
    once a term drops below 1e-16 of the sum's size (after at least 6
-   terms, within 500).  `_series_float` sums one argument and
-   `_series_grid` a grid, both with compensated (Kahan) accumulation,
-   measuring the size as the largest partial sum.  A Mittag-Leffler grid
-   of several rows goes to `_ml_products` instead: one coefficient table
-   times a matrix of powers per block of points, in BLAS, measuring the
-   size as the sum of |terms|.  That sum bounds every partial sum, so
-   its budget is never looser than the loop's.  Grids of one row (every
-   Struve grid, a single Mittag-Leffler term) keep `_series_grid`,
-   which is faster there and matches the scalar path's Kahan sums.
+   terms, within 500).  `_series_float` sums one argument with
+   compensated (Kahan) accumulation, measuring the size as the largest
+   partial sum.  `_series_products` sums every grid, of either family:
+   one coefficient table times a matrix of powers per block of points,
+   with as many terms as the block's largest argument needs, judging
+   each tail against the sum of |terms|.  A grid of one row (every
+   Struve grid, a single Mittag-Leffler term) measures its cancellation
+   against the largest partial sum, as the scalar does; a grid of
+   several rows against the sum of |terms|, which bounds every partial
+   sum, so its budget is never looser.
 2. Mittag-Leffler only, for z < 0 and alpha <= 2: a float64 trapezoid
    rule on a parabolic inverse-Laplace contour (`_ml_contour`, batched
    over a whole grid).
@@ -268,61 +269,123 @@ def _series_float(x: float, gammas, deep: bool = False):
     return total, _float_accepted(total, max_mag, converged, rounding if deep else None)
 
 
-def _series_grid(xs: np.ndarray, gammas, deep=None):
-    """_series_float for every offset row and every argument in `xs`.
+def _series_terms(coeff, lo, hi, xs: np.ndarray):
+    """How many terms of the table `coeff` the tail rule needs at each |x|
+    in `xs`, and whether the table is long enough to tell.
+
+    `lo` and `hi` hold each term's smaller and larger gamma argument.
+    Each row's term must be at most _TAIL of its running sum of |terms|,
+    once its gamma arguments are positive; a row whose 1/Gamma has
+    underflowed (hi past _GAMMA_OVERFLOW) no longer counts.  The count
+    stops short of powers past float64 range.
+    """
+    m = coeff.shape[1]
+    powers = np.empty((xs.size, m))
+    powers[:, 0], powers[:, 1:] = 1.0, xs[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    finite = np.isfinite(powers)
+    cap = np.where(finite[:, -1], m, np.argmin(finite, axis=1))
+    # (points, rows, terms); entries past a point's cap never count
+    term = np.abs(coeff) * powers[:, None, :]
+    met = (term <= _TAIL * np.cumsum(term, axis=2)) & (lo > 0.0)
+    met |= hi > _GAMMA_OVERFLOW
+    met[..., :_MIN_TERMS] = False
+    met = met.all(axis=1) & (np.arange(m) < cap[:, None])
+    hit = met.any(axis=1)
+    return (np.where(hit, np.argmax(met, axis=1) + 1, cap),
+            hit | (cap < m) | (m >= MAX_TERMS))
+
+
+# columns per block of `_series_products`; each block sums as many terms
+# as its own largest |x| needs
+_BLOCK = 512
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _series_products(xs: np.ndarray, gammas, deep=None):
+    """Tier 1 for a grid: `_series_float` for every row and every x in `xs`.
 
     `gammas` holds one or two pairs (a_j, offsets_j), each offsets_j an
-    array over the rows.  The sum runs until every entry meets the tail
-    rule; an entry whose last term met it has converged.  `deep` marks
-    the columns that carry a rounding bound.  Returns (values, accepted)
-    as (rows, len(xs)) arrays.
+    array over the rows, and `deep` marks the columns that also carry a
+    rounding bound.  The table C[r, n] = prod_j 1/Gamma(a_j n +
+    offsets_j[r]) is built once.  Each block of _BLOCK columns takes the
+    prefix of C its largest |x| needs, with the powers V[n, j] = xs[j]^n:
+    the values are C @ V, the sums of |terms| |C| @ |V|, and the rounding
+    bound one more product.  An entry has converged when its row's last
+    term before 1/Gamma underflows is at most _TAIL of its sum of |terms|.
+    `_float_accepted`'s budget measures the cancellation
+
+    - in a grid of several rows against the sum of |terms|, which bounds
+      every partial sum, so it is never looser than the scalar's;
+    - in a grid of one row against the largest partial sum, as
+      `_series_float` does, formed by one cumsum over the columns whose
+      sum of |terms| exceeds the budget; the sum of |terms| alone would
+      send many more of them to the next tier.
+
+    Powers past the float64 range pass silently.  Returns (values,
+    accepted) as (rows, len(xs)) arrays.
     """
     # with one pair, the second gamma argument repeats the first
     (a, b), (a2, b2) = gammas[0], gammas[-1]
     b, b2 = np.asarray(b, dtype=float), np.asarray(b2, dtype=float)
-    two = len(gammas) == 2
-    shape = (b.size, xs.size)
-    total = np.zeros(shape)
-    comp = np.zeros(shape)
-    max_mag = np.zeros(shape)
-    tail = np.zeros(shape, dtype=bool)
-    cut = np.zeros(shape, dtype=bool)
-    rounding = np.zeros(shape) if deep is not None and deep.any() else None
-    xn = np.ones(xs.size)
-    # a non-finite power ends the sweep, and a non-finite term leaves its
-    # entry's sum non-finite, which rejects it: both may pass silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(MAX_TERMS):
-            g = a * n + b
-            g2 = a2 * n + b2
-            hi = np.maximum(g, g2)
-            if hi.max() > _GAMMA_OVERFLOW:
-                # 1/Gamma underflows to 0 from here on, so no later tail
-                # test counts for a sum still under way; past its tail
-                # point an entry's terms only shrink, so one whose last
-                # term met the rule has converged, as the scalar loop
-                # would have returned
-                cut |= (hi > _GAMMA_OVERFLOW)[:, None] & (max_mag > 0.0) & ~tail
-            coeff = np.array([reciprocal_gamma(v) for v in g])
-            if two:
-                coeff *= [reciprocal_gamma(v) for v in g2]
-            term = np.outer(coeff, xn)
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            np.maximum(max_mag, np.abs(total), out=max_mag)
-            if rounding is not None:
-                rounding[:, deep] += np.abs(term[:, deep]) * (n + np.abs(g) + 4.0)[:, None]
-            if n >= _MIN_TERMS and min(g.min(), g2.min()) > 0.0:
-                tail = np.abs(term) <= _TAIL * max_mag
-                if np.all(tail):
-                    break
-            xn = xn * xs
-            if not np.all(np.isfinite(xn)):
-                break
-        converged = tail & ~cut & np.isfinite(total)
-        return total, _float_accepted(total, max_mag, converged, rounding)
+    rows = np.arange(b.size)
+    starts = np.arange(0, xs.size, _BLOCK)
+    maxima = np.maximum.reduceat(np.abs(xs), starts)
+    coeff = np.empty((b.size, 0))
+    rgamma = np.frompyfunc(reciprocal_gamma, 1, 1)
+    decided = False
+    while not decided:
+        # 32 more terms until the largest |x| decides the tail rule
+        n = np.arange(min(coeff.shape[1] + 32, MAX_TERMS))
+        g, g2 = a * n + b[:, None], a2 * n + b2[:, None]
+        more = rgamma(g[:, coeff.shape[1]:]).astype(float)
+        if len(gammas) == 2:
+            more *= rgamma(g2[:, coeff.shape[1]:]).astype(float)
+        coeff = np.hstack((coeff, more))
+        lo, hi = np.minimum(g, g2), np.maximum(g, g2)
+        decided = _series_terms(coeff, lo, hi, maxima.max(keepdims=True))[1][0]
+    # a row's live terms end where its 1/Gamma underflows
+    dead = hi > _GAMMA_OVERFLOW
+    live = np.where(dead.any(axis=1), np.argmax(dead, axis=1), g.shape[1])
+    weight = np.abs(coeff) * (np.arange(g.shape[1]) + np.abs(g) + 4.0)
+    values, mag = np.zeros((2, b.size, xs.size))
+    rounding = np.zeros_like(values) if deep is not None and deep.any() else None
+    converged = np.zeros(values.shape, dtype=bool)
+    # each block's term count, scanning as many blocks at a time as keep
+    # the scan near 2^16 entries
+    step = max(1, (1 << 16) // coeff.size)
+    counts = np.concatenate([_series_terms(coeff, lo, hi, maxima[i:i + step])[0]
+                             for i in range(0, starts.size, step)])
+    # each row's last live term in each block, where its tail is judged
+    lasts = np.minimum(counts[:, None], live) - 1
+    judged = (lasts >= _MIN_TERMS) & (lo[rows, lasts] > 0.0)
+    for start, n, last, started in zip(starts, counts, lasts, judged):
+        x = xs[start:start + _BLOCK]
+        cols = slice(start, start + x.size)
+        # V: row k holds x^k of every point, each `_series_float`'s xn
+        powers = np.empty((n, x.size))
+        powers[0] = 1.0
+        for k in range(1, n):
+            np.multiply(powers[k - 1], x, out=powers[k])
+        if b.size > 1:
+            # BLAS's summation order follows V's memory layout; this one
+            # keeps a solution series' terms as they have been measured
+            powers = np.asfortranarray(powers)
+        size = np.abs(powers)
+        values[:, cols] = coeff[:, :n] @ powers
+        mag[:, cols] = total = np.abs(coeff[:, :n]) @ size
+        if rounding is not None and deep[cols].any():
+            rounding[:, cols] = np.where(deep[cols], weight[:, :n] @ size, 0.0)
+        term = coeff[rows, last][:, None] * powers[last]
+        converged[:, cols] = started[:, None] & (np.abs(term) <= _TAIL * total)
+        if b.size == 1:
+            # the largest partial sum, where the sum of |terms| exceeds
+            # the budget
+            wide = np.flatnonzero(~(total[0] <= _CANCEL_LIMIT * np.abs(values[0, cols])))
+            if wide.size:
+                partial = np.cumsum(coeff[0, :n, None] * powers[:, wide], axis=0)
+                mag[0, start + wide] = np.max(np.abs(partial), axis=0)
+    return values, _float_accepted(values, mag, converged & np.isfinite(values), rounding)
 
 
 def _series_mp(setup, gammas, label: str) -> float:
@@ -670,90 +733,17 @@ def _contour_rules(alpha: float, betas: np.ndarray, zs: np.ndarray):
     return values, est
 
 
-def _ml_terms(coeff, g, x: float):
-    """How many terms of the table `coeff` (gamma arguments `g`) the tail
-    rule needs at |z| = x, and whether the table is long enough to tell.
-
-    Each row's term must be at most _TAIL of its running sum of |terms|,
-    once the scan started; a row whose 1/Gamma has underflowed no longer
-    counts.  The count stops short of powers past float64 range.
-    """
-    m = coeff.shape[1]
-    powers = np.cumprod(np.concatenate(([1.0], np.full(m - 1, x))))
-    cap = m if np.isfinite(powers[-1]) else int(np.argmin(np.isfinite(powers)))
-    term = np.abs(coeff[:, :cap]) * powers[:cap]
-    met = (term <= _TAIL * np.cumsum(term, axis=1)) & (g[:, :cap] > 0.0)
-    met |= g[:, :cap] > _GAMMA_OVERFLOW
-    met[:, :_MIN_TERMS] = False
-    hits = np.flatnonzero(met.all(axis=0))
-    if hits.size:
-        return int(hits[0]) + 1, True
-    return cap, cap < m or m >= MAX_TERMS
-
-
-# columns per block of `_ml_products`; each block sums as many terms as
-# its own largest |z| needs
-_BLOCK = 512
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _ml_products(alpha: float, betas: np.ndarray, zs: np.ndarray, deep: np.ndarray):
-    """Tier 1 for a Mittag-Leffler grid of several rows, as matrix products.
-
-    C[r, n] = 1/Gamma(alpha n + betas[r]) is built once.  Each block of
-    _BLOCK columns takes the prefix of C its largest |z| needs, with the
-    powers V[n, j] = zs[j]^n: the values are C @ V, the sums of |terms|
-    |C| @ |V|, and below _DEEP the rounding bound one more product.  An
-    entry has converged when its row's last term before 1/Gamma underflows
-    is at most _TAIL of its sum of |terms|, which bounds the largest
-    partial sum in `_float_accepted`'s budget.  Powers past the float64
-    range pass silently.  Returns (values, accepted).
-    """
-    rows = np.arange(betas.size)
-    coeff = np.empty((betas.size, 0))
-    rgamma = np.frompyfunc(reciprocal_gamma, 1, 1)
-    decided = False
-    while not decided:
-        # 32 more terms until the largest |z| decides the tail rule
-        g = alpha * np.arange(min(coeff.shape[1] + 32, MAX_TERMS)) + betas[:, None]
-        coeff = np.hstack((coeff, rgamma(g[:, coeff.shape[1]:]).astype(float)))
-        decided = _ml_terms(coeff, g, np.max(np.abs(zs)))[1]
-    # a row's live terms end where its 1/Gamma underflows
-    dead = g > _GAMMA_OVERFLOW
-    live = np.where(dead.any(axis=1), np.argmax(dead, axis=1), g.shape[1])
-    weight = np.abs(coeff) * (np.arange(g.shape[1]) + np.abs(g) + 4.0)
-    values, mag = np.zeros((2, betas.size, zs.size))
-    rounding = np.zeros_like(values) if deep.any() else None
-    converged = np.zeros(values.shape, dtype=bool)
-    for start in range(0, zs.size, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        n = _ml_terms(coeff, g, np.max(np.abs(zs[cols])))[0]
-        # z^0 .. z^(n-1) of one point to a row, each the loop's xn
-        powers = np.empty((zs[cols].size, n))
-        powers[:, 0], powers[:, 1:] = 1.0, zs[cols, None]
-        np.cumprod(powers, axis=1, out=powers)
-        size = np.abs(powers).T
-        values[:, cols] = coeff[:, :n] @ powers.T
-        mag[:, cols] = np.abs(coeff[:, :n]) @ size
-        if rounding is not None and deep[cols].any():
-            rounding[:, cols] = np.where(deep[cols], weight[:, :n] @ size, 0.0)
-        last = np.minimum(n, live) - 1
-        started = (last >= _MIN_TERMS) & (g[rows, last] > 0.0)
-        term = coeff[rows, last][:, None] * powers[:, last].T
-        converged[:, cols] = started[:, None] & (np.abs(term) <= _TAIL * mag[:, cols])
-    return values, _float_accepted(values, mag, converged & np.isfinite(values), rounding)
-
-
 def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     """E_{alpha, betas[i]}(zs[j]) as a (len(betas), len(zs)) array.
 
     Vectorized companion of mittag_leffler with the same three tiers,
-    decided entry by entry.  Tier 1 sums the whole grid: one row with
-    `_series_grid`, the scalar path's loop, and several rows with the
-    blocked products of `_ml_products`, whose budget measures the
-    cancellation against the sum of |terms|, never looser than the loop's
-    largest partial sum.  Each entry tier 1 rejects goes to the scalar
-    path's `_ml_rescue`, with one batched contour call for all of them.
+    decided entry by entry.  Tier 1 sums the whole grid with the blocked
+    products of `_series_products`, whose budget measures the cancellation
+    of one row against its largest partial sum, as the scalar does, and
+    of several rows against the sum of |terms|, never looser.  Each entry
+    tier 1 rejects goes to the scalar path's `_ml_rescue`, with one
+    batched contour call for all of them.  |z| past ML_RANGE raises
+    DomainError naming the largest.
     """
     alpha = float(alpha)
     if not alpha > 0.0:
@@ -761,13 +751,13 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if zs.size and not np.max(np.abs(zs)) <= ML_RANGE:
-        raise DomainError(f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}")
+        z = float(zs[np.argmax(np.abs(zs))])
+        raise DomainError(
+            f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}, got z={z!r}"
+        )
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
-    if betas.size == 1:
-        total, accepted = _series_grid(zs, ((alpha, betas),), deep=zs < _DEEP)
-    else:
-        total, accepted = _ml_products(alpha, betas, zs, zs < _DEEP)
+    total, accepted = _series_products(zs, ((alpha, betas),), zs < _DEEP)
     rows, cols = np.nonzero(~accepted)
     if rows.size:
         total[rows, cols] = _ml_rescue(alpha, betas[rows], zs[cols])
@@ -867,8 +857,10 @@ def _struve_extended(gammas, order: float, z: float, sign: float) -> float:
 def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     """generalized_struve evaluated over an array of points z >= 0.
 
-    The float64 series runs for the whole array; each entry it cannot
-    vouch for, and each entry whose z/2 is subnormal, takes the scalar
+    Tier 1 sums the whole array as a one-row grid of `_series_products`,
+    in x = -(z/2)^2 with the product of both reciprocal gammas as its
+    coefficients; each entry it cannot vouch for (among them those whose
+    x overflows), and each entry whose z/2 is subnormal, takes the scalar
     path's tiers through `_struve_series`.
     """
     if not isinstance(spec, SeriesSpec):
@@ -880,9 +872,10 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
         raise DomainError("generalized_struve_grid requires finite z >= 0")
     half = 0.5 * zs
     gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
-    total, accepted = _series_grid(-(half * half), [(a, [b]) for a, b in gammas])
-    # rejected entries are replaced below; the finite check comes last
+    # rejected entries are replaced below, among them those whose square
+    # overflows; the finite check comes last
     with np.errstate(over="ignore", invalid="ignore"):
+        total, accepted = _series_products(-(half * half), [(a, [b]) for a, b in gammas])
         value = np.where(zs > 0.0, half ** (spec.order + 1.0), 0.0) * total[0]
     # so do entries whose z/2 is subnormal, as it has lost digits
     for j in np.flatnonzero(~accepted[0] | ((zs > 0.0) & (half < _NORMAL_MIN))):

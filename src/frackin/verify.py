@@ -140,8 +140,10 @@ def _reports(grid: Grid, modes: tuple[SolutionMode, ...], build, forcing,
     grid's own scale, in the order one call per grid and mode would
     raise.
     """
-    if not abs(tol_rel) < math.inf:
-        raise DomainError(f"residual tolerance must be finite, got {tol_rel!r}")
+    if not 0.0 < tol_rel < math.inf:
+        raise DomainError(
+            f"residual tolerance must be positive and finite, got {tol_rel!r}"
+        )
     if grid.points[-1] > t_cap:
         raise DomainError(
             f"grid extends to t={grid.points[-1]!r}, beyond the residual "

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +404,78 @@ class TestExitCodes:
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",
                       "--z", "200")
         assert out.returncode == 3
+
+    def test_grid_range_error_names_the_value(self):
+        # -(c t)^v reaches -160.2 at t_max
+        code, out, err = run_in_process("haubold", "--c", "2.553", "--v", "1.996",
+                                        "--tmax", "4.983", "--n", "100")
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("frackin: error:")
+        assert "supports |z| <= 100, got z=-160.2" in lines[0]
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-4"])
+    def test_non_positive_tolerance_is_3(self, tol):
+        code, out, err = run_in_process("verify", "--theorem", "1", "--l", "1",
+                                        "--v", "0.75", "--n", "64", f"--tol={tol}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("frackin: error: residual tolerance must be positive")
+
+
+def _sweep_argvs(seed=20261020, per_command=60):
+    """Seeded argvs of the four table commands over the 15 families: v in
+    [0.1, 2], d and relax in [0.3, 3], l in [-0.5, 2], t_max in [1, 5]."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return repr(round(rng.uniform(lo, hi), 3))
+
+    # (command flag, family flag, id, whether the family takes --relax)
+    families = ([("--theorem", k, k == 3) for k in (1, 2, 3)]
+                + [("--corollary", k, k % 3 == 0) for k in range(1, 13)])
+    argvs = []
+    for _ in range(per_command):
+        argvs.append(["haubold", "--c", draw(0.3, 3.0), "--v", draw(0.1, 2.0),
+                      "--tmax", draw(1.0, 5.0), "--n", "100"])
+        for command in ("solve", "corollary", "verify"):
+            pool = families
+            if command != "verify":
+                pool = [f for f in families if (f[0] == "--theorem") == (command == "solve")]
+            flag, ident, distinct = rng.choice(pool)
+            if command == "corollary":
+                flag = "--id"
+            argv = [command, flag, str(ident), "--l", draw(-0.5, 2.0), "--d",
+                    draw(0.3, 3.0), "--v", draw(0.1, 2.0), "--tmax",
+                    draw(1.0, 5.0), "--n", "128"]
+            if distinct:
+                argv += ["--relax", draw(0.3, 3.0)]
+            argvs.append(argv)
+    return argvs
+
+
+def test_seeded_sweep_prints_certified_numbers_or_names_its_failure():
+    # each argv exits 0 with finite values, or exits 3 with one error line,
+    # and none of them lets a numpy RuntimeWarning through
+    exits = []
+    for argv in _sweep_argvs():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_in_process(*argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        if code == 0:
+            rows = out.splitlines()[1:]
+            assert rows and err == "", argv
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")), argv
+        else:
+            assert code == 3 and out == "", argv
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("frackin: error:"), argv
+        exits.append(code)
+    assert len(exits) == 240
+    # most draws are in range: the sweep checks numbers, not only errors
+    assert exits.count(0) >= 200
 
 
 class TestDeterminism:

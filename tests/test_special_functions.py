@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frackin.special_functions as sf
+import _oracles
 from _oracles import mlf_laplace, mlf_series
 from frackin import (
     ConvergenceError,
@@ -432,26 +433,58 @@ def _ml_series_bound(alpha, beta, z):
         return float(total), float(bound)
 
 
+def _struve_specs(count=4, seed=20261020):
+    """Seeded generalized specs with two distinct slopes in [0.6, 2], with
+    a generator of their own for the points."""
+    specs = []
+    for k in range(count):
+        rng = np.random.default_rng(seed + k)
+        lam, alpha = rng.uniform(0.6, 2.0, 2)
+        spec = SeriesSpec(lam=lam, alpha=alpha, mu=rng.uniform(0.5, 3.0),
+                          order=rng.uniform(-0.5, 2.0))
+        specs.append(pytest.param(spec, rng, id=f"seed{seed + k}"))
+    return specs
+
+
+def _struve_series_bound(spec, x):
+    """The raw Struve-type sum sum_k x^k / (Gamma(alpha k + mu)
+    Gamma(lam k + sigma)) at 40 digits, with the float64 series' summed
+    rounding bound sum_k |t_k| (k + |alpha k + mu| + |lam k + sigma| + 4)."""
+    with mp.workdps(40):
+        pairs = [(mp.mpf(spec.alpha), mp.mpf(spec.mu)), (mp.mpf(spec.lam), mp.mpf(spec.sigma))]
+        x = mp.mpf(x)
+        total = bound = mp.mpf(0)
+        for k in range(sf.MAX_TERMS + 100):
+            g = [a * k + b for a, b in pairs]
+            term = x**k * mp.rgamma(g[0]) * mp.rgamma(g[1])
+            total += term
+            bound += abs(term) * (k + abs(g[0]) + abs(g[1]) + 4)
+            if min(g) > 0 and abs(term) <= mp.mpf(10) ** -40 * bound:
+                break
+        return float(total), float(bound)
+
+
 class TestMittagLefflerProducts:
-    """`_ml_products`, the float64 tier of grids with several rows."""
+    """`_series_products`, the float64 tier of every grid."""
 
     @pytest.mark.parametrize("alpha,betas,rng", _products_grids())
     def test_accepted_entries_against_mpmath(self, alpha, betas, rng):
         # two blocks of columns, deep ones among them
         zs = np.concatenate((rng.uniform(-100.0, 100.0, 600),
                              [-99.0, -10.5, -3.0, 0.0, 2.0]))
-        values, accepted = sf._ml_products(alpha, betas, zs, zs < sf._DEEP)
+        values, accepted = sf._series_products(zs, ((alpha, betas),), zs < sf._DEEP)
         assert values.shape == accepted.shape == (betas.size, zs.size)
-        # the compensated loop, which one-row grids keep, as the reference
-        loop, loop_accepted = sf._series_grid(zs, ((alpha, betas),), deep=zs < sf._DEEP)
         entries = np.argwhere(accepted)
         assert entries.size
         for i, j in entries[rng.choice(len(entries), min(20, len(entries)), replace=False)]:
             want, bound = _ml_series_bound(alpha, betas[i], zs[j])
             tol = 1e-13 * abs(want) + sf._EPS * bound
             assert abs(values[i, j] - want) <= tol
-            if loop_accepted[i, j]:
-                assert abs(values[i, j] - loop[i, j]) <= 2.0 * tol
+            # the scalar path's compensated loop as the reference
+            loop, loop_accepted = sf._series_float(
+                zs[j], ((alpha, betas[i]),), deep=zs[j] < sf._DEEP)
+            if loop_accepted:
+                assert abs(values[i, j] - loop) <= 2.0 * tol
             if zs[j] < sf._DEEP:
                 # below _DEEP the bound itself must pass, as in the loop
                 assert sf._EPS * bound <= 1.01e-12 * abs(want)
@@ -461,7 +494,7 @@ class TestMittagLefflerProducts:
         # E_{alpha,beta}(z) grows like exp(z^(1/alpha)): keep it in range
         zs = rng.uniform(-100.0, min(100.0, 30.0 ** alpha), 520)
         grid = mittag_leffler_grid(alpha, betas, zs)
-        _, accepted = sf._ml_products(alpha, betas, zs, zs < sf._DEEP)
+        _, accepted = sf._series_products(zs, ((alpha, betas),), zs < sf._DEEP)
         for pick in (np.argwhere(accepted), np.argwhere(~accepted)):
             for i, j in pick[rng.choice(len(pick), min(5, len(pick)), replace=False)]:
                 beta, z = float(betas[i]), float(zs[j])
@@ -472,10 +505,19 @@ class TestMittagLefflerProducts:
                 scale = max(abs(want), _pole_amplitude(alpha, beta, z))
                 assert abs(grid[i, j] - want) <= 1e-12 * scale
 
+    def test_one_row_keeps_the_scalar_budget(self):
+        # measured against the sum of |terms|, 402 of these entries would
+        # cancel past the budget; against the largest partial sum, as the
+        # scalar measures, none does
+        zs = -np.linspace(0.01, 5.0, 4097) ** 0.75
+        _, accepted = sf._series_products(zs, ((0.75, [1.0]),), zs < sf._DEEP)
+        assert accepted.all()
+        assert all(sf._series_float(z, ((0.75, 1.0),))[1] for z in zs[::64])
+
     def test_mixed_block_keeps_small_entries_on_float64(self):
         # z = -99 sets the block's term count, which -3 and 2 share
         zs = np.array([-99.0, -3.0, 2.0])
-        values, accepted = sf._ml_products(1.0, np.array([1.0, 2.0]), zs, zs < sf._DEEP)
+        values, accepted = sf._series_products(zs, ((1.0, np.array([1.0, 2.0])),), zs < sf._DEEP)
         # at -99 the terms cancel past the budget, and the contour serves
         assert accepted.tolist() == [[False, True, True], [False, True, True]]
         assert values[0, 1] == pytest.approx(math.exp(-3.0), rel=1e-14)
@@ -487,21 +529,55 @@ class TestMittagLefflerProducts:
         # 50^n / Gamma(n + 150) have shrunk by only about 1e-11: the zero
         # terms must not pass for a met tail
         zs = np.array([50.0, 1.0])
-        values, accepted = sf._ml_products(1.0, np.array([1.0, 150.0]), zs, zs < sf._DEEP)
+        values, accepted = sf._series_products(zs, ((1.0, np.array([1.0, 150.0])),), zs < sf._DEEP)
         assert accepted.tolist() == [[True, True], [False, True]]
         grid = mittag_leffler_grid(1.0, [1.0, 150.0], zs)
         want = _ml_series_bound(1.0, 150.0, 50.0)[0]
         assert grid[1, 0] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("size", [1, 511, 512, 513])
-    def test_block_edges_match_scalar(self, size):
-        betas = [0.5, 1.0, 2.5]
-        zs = np.linspace(-30.0, 20.0, size) if size > 1 else np.array([-3.2])
-        grid = mittag_leffler_grid(0.75, betas, zs)
-        assert grid.shape == (3, size)
+    @pytest.mark.parametrize("spec,rng", _struve_specs())
+    def test_struve_entries_against_mpmath(self, spec, rng):
+        # two blocks of columns of a one-row grid
+        zs = rng.uniform(0.0, 15.0, 600)
+        half = 0.5 * zs
+        xs = -(half * half)
+        gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
+        values, accepted = sf._series_products(xs, [(a, [b]) for a, b in gammas])
+        assert values.shape == accepted.shape == (1, zs.size)
+        entries = np.flatnonzero(accepted[0])
+        assert entries.size
+        for j in rng.choice(entries, min(20, entries.size), replace=False):
+            want, bound = _struve_series_bound(spec, xs[j])
+            assert abs(values[0, j] - want) <= 1e-13 * abs(want) + sf._EPS * bound
+        # final values, from float64 and from the scalar path's tiers alike
+        rejected = np.flatnonzero(~accepted[0])
+        picks = np.concatenate([rng.choice(pick, min(4, pick.size), replace=False)
+                                for pick in (entries, rejected)])
+        grid = generalized_struve_grid(spec, zs[picks])
+        for z, x, value in zip(zs[picks], xs[picks], grid):
+            want = generalized_struve(spec, float(z))
+            bound = _struve_series_bound(spec, x)[1] * (0.5 * z) ** (spec.order + 1.0)
+            assert abs(value - want) <= 1e-13 * abs(want) + 2.0 * sf._EPS * bound
+
+    # grids of several Mittag-Leffler rows keep their old ids
+    @pytest.mark.parametrize("kind,size", [
+        pytest.param(kind, size, id=str(size) if kind == "rows" else f"{kind}-{size}")
+        for kind in ("rows", "row", "struve") for size in (1, 511, 512, 513)])
+    def test_block_edges_match_scalar(self, kind, size):
+        if kind == "struve":
+            spec = SeriesSpec(lam=1.4, alpha=0.8, mu=2.0, order=1.0)
+            zs = np.linspace(0.0, 12.0, size) if size > 1 else np.array([3.2])
+            grid = generalized_struve_grid(spec, zs)[None, :]
+            scalars = [lambda z: generalized_struve(spec, z)]
+        else:
+            betas = [0.5, 1.0, 2.5] if kind == "rows" else [1.5]
+            zs = np.linspace(-30.0, 20.0, size) if size > 1 else np.array([-3.2])
+            grid = mittag_leffler_grid(0.75, betas, zs)
+            scalars = [lambda z, b=b: mittag_leffler(0.75, b, z) for b in betas]
+        assert grid.shape == (len(scalars), size)
         for j in sorted({0, size // 2, size - 1}):
-            for i, b in enumerate(betas):
-                want = mittag_leffler(0.75, b, float(zs[j]))
+            for i, scalar in enumerate(scalars):
+                want = scalar(float(zs[j]))
                 assert grid[i, j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_empty_grids(self):
@@ -825,6 +901,16 @@ def _struve_termwise(v, z, derivative):
         return float(total)
 
 
+class TestStruveOverflow:
+    def test_argument_past_float64_range_is_refused_silently(self):
+        # (z/2)^2 overflows: the float64 tier refuses the entry, and the
+        # mpmath series cannot converge there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                generalized_struve_grid(SeriesSpec.struve(0.5), [1e200])
+
+
 class TestStruveSubnormal:
     """z/2 below the normal range: powers of z/2 are taken from z itself.
 
@@ -839,7 +925,8 @@ class TestStruveSubnormal:
             assert struve_h(-0.5, z) == pytest.approx(want, rel=1e-12, abs=0.0)
             grid = generalized_struve_grid(SeriesSpec.struve(-0.5), [0.0, z, 1.0])
             assert grid[1] == pytest.approx(want, rel=1e-12, abs=0.0)
-            assert grid[2] == struve_h(-0.5, 1.0)
+            assert grid[2] == pytest.approx(float(_oracles.struve_series(-0.5, 1.0)),
+                                            rel=1e-15, abs=0)
         assert struve_h(-0.5, 5e-324) == pytest.approx(1.7735049e-162, rel=1e-7, abs=0.0)
         assert struve_h(-0.5, 1.5e-323) == pytest.approx(3.0718006e-162, rel=1e-7, abs=0.0)
 

@@ -68,6 +68,18 @@ class TestResidual:
             with pytest.raises(DomainError, match="finite"):
                 call()
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4])
+    def test_non_positive_tolerance_raises(self, tol):
+        # a tolerance of 0 or below no residual can meet, and the coarse-grid
+        # warning would compare against it
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
+        g = Grid.uniform(2.0 / 64, 2.0, 64)
+        for call in (lambda: residual(p, SolutionMode.CORRECTED, g, tol_rel=tol),
+                     lambda: adjudicate(p, g, tol_rel=tol),
+                     lambda: haubold_residual(1.0, 0.75, g, tol_rel=tol)):
+            with pytest.raises(DomainError, match="positive"):
+                call()
+
     def test_coarse_grid_warns(self):
         p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
         g = Grid.uniform(2.0 / 16, 2.0, 16)

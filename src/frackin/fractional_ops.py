@@ -13,13 +13,11 @@ depend on the samples, so the operator is linear in them.
 whose panels, after a head of at most three, repeat by a constant step
 (`Grid.uniform` and its `refine()`) or a constant ratio (`Grid.log` and
 its `refine()`), the weights depend only on the offset between target
-and panel, so the sum is a causal convolution with O(n) powers: one per
-phase, over every tail panel, of which the phase keeps every p-th entry
-(p = 2 on a `refine()`d log grid, else 1).  Each convolution is a plain
-direct sum, block by block, that forms each entry only from the panels
-before it.  Graded, hand-built and very small grids take an exact
-O(n^2)-power loop, row by row as `rl_integral_grid` computes one point.
-Both routes give the same numbers to rounding.
+and panel, so the sum is one causal convolution per grid, with O(n)
+powers: a plain direct sum, block by block, that forms each entry only
+from the panels before it.  Graded, hand-built and very small grids
+take an exact O(n^2)-power loop, row by row as `rl_integral_grid`
+computes one point.  Both routes give the same numbers to rounding.
 """
 
 from __future__ import annotations
@@ -77,15 +75,24 @@ class Grid:
         return len(self.points)
 
     def refine(self) -> "Grid":
-        """New grid with every panel midpoint inserted, origin panel included.
+        """Twice the points: a midpoint in every panel, the origin panel
+        [0, t_1] included, and every point of this grid, bit for bit, at
+        the odd indices.
 
-        Halves every panel; used by verification to separate quadrature
-        error (which shrinks) from structural error (which does not).
+        A constant-ratio tail (`_self_similar_tail`, as on `Grid.log`) gets
+        geometric midpoints a sqrt(b/a) and so keeps a constant ratio;
+        every other panel gets its arithmetic midpoint.  Verification uses
+        it to separate quadrature error (which shrinks) from structural
+        error (which does not).
         """
-        arr = self.array
-        mids = 0.5 * (arr[:-1] + arr[1:])
-        first = 0.5 * arr[0]
-        return Grid(np.sort(np.concatenate(([first], arr, mids))))
+        nodes = np.concatenate(([0.0], self.array))
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        head, geometric = _self_similar_tail(nodes) or (0, False)
+        if geometric:
+            # a > 0, as the origin never joins a ratio tail; sqrt(a b) can overflow
+            a = nodes[head:-1]
+            mids[head:] = a * np.sqrt(nodes[head + 1 :] / a)
+        return Grid(np.stack((mids, self.array), axis=1).ravel())
 
 
 def _point_count(kind: str, t_min: float, t_max: float, n: int) -> int:
@@ -203,20 +210,19 @@ _BLOCK = 64
 
 
 def _self_similar_tail(nodes: np.ndarray):
-    """Find a tail on which one map sends each node p places on.
+    """Find a tail on which one map sends each node to the next.
 
     The map is a constant step, s_{k+1} = s_k + h, or a constant ratio,
-    s_{k+p} = r s_k with p = 1 or 2 (`refine()` puts arithmetic midpoints
-    into a geometric grid), for every node k >= head, within _TAIL_ULPS
-    units in the last place.  Returns (head, p, geometric) for the first
-    fit with head <= _MAX_HEAD, or None.
+    s_{k+1} = r s_k, for every node k >= head, within _TAIL_ULPS units in
+    the last place.  Returns (head, geometric) for the first fit with
+    head <= _MAX_HEAD, or None.
     """
     if nodes.size - 1 < _MIN_CONVOLVED:
         return None
-    for p, geometric in ((1, False), (1, True), (2, True)):
-        later, earlier = nodes[p:], nodes[:-p]
+    later, earlier = nodes[1:], nodes[:-1]
+    for geometric in (False, True):
         if geometric:
-            ratio = nodes[-1] / nodes[-1 - p]
+            ratio = nodes[-1] / nodes[-2]
             miss = np.abs(later - ratio * earlier) > _TAIL_ULPS * np.spacing(later)
         else:
             step = nodes[-1] - nodes[-2]
@@ -224,12 +230,13 @@ def _self_similar_tail(nodes: np.ndarray):
         bad = np.flatnonzero(miss)
         head = int(bad[-1]) + 1 if bad.size else 0
         if head <= _MAX_HEAD:
-            return head, p, geometric
+            return head, geometric
     return None
 
 
-def _convolved(inputs, kernels, m: int) -> np.ndarray:
-    """First m entries of the sum over pairs of numpy.convolve(x, k).
+def _convolved(inputs, kernels) -> np.ndarray:
+    """First m entries of the sum over pairs of numpy.convolve(x, k), all
+    of length m.
 
     The sums are direct, over blocks of _BLOCK entries.  Input block J
     meets output block I only through the kernel's Toeplitz block at
@@ -241,17 +248,18 @@ def _convolved(inputs, kernels, m: int) -> np.ndarray:
     within 1e-15 of the largest entry of an 80-bit sum.
     """
     b = _BLOCK
+    m = inputs[0].size
     nb = -(-m // b)
     size = nb * b
     xs, hankels = [], []
     for x, k in zip(inputs, kernels):
         xp = np.zeros(size)
-        xp[: min(m, x.size)] = x[:m]
+        xp[:m] = x
         # each block of x reversed, so block D's Toeplitz matrix is a
         # Hankel one: b rows of a sliding window over the kernel
         xs.append(xp.reshape(nb, b)[:, ::-1])
         kp = np.zeros(size + b - 1)
-        kp[b - 1 : b - 1 + min(m, k.size)] = k[:m]
+        kp[b - 1 : b - 1 + m] = k
         hankels.append(sliding_window_view(kp, b))
     x = np.concatenate(xs, axis=1)
     out = np.zeros((nb, b))
@@ -280,19 +288,17 @@ def rl_profile(grid: Grid, samples, v: float) -> np.ndarray:
 
     Same quadrature as the scalar entry point.  When the panels after a
     head of at most three form a self-similar tail (a constant step, as
-    in `Grid.uniform` and its `refine()`, or a constant ratio over p = 1
-    or 2 nodes, as in `Grid.log` and its `refine()`), the weight of tail
-    panel j at target i depends only on i - j and on i mod p, scaled by
-    (t_i / t_ref)^v on a ratio tail.  The tail sum of each phase is then
-    one causal convolution of the samples and of their differences over
-    every tail panel with that phase's sequence of exact moments, summed
-    directly by blocks (`_convolved`), of which the phase's targets take
-    every p-th entry.  The head panels are one block for all targets:
-    O(n^2) multiply-adds but only O(n) powers.  Other grids, and grids
-    under nine points, take the exact per-target loop, with O(n^2)
-    powers.  The two routes agree to rounding: on 2048-point uniform and
-    log grids and their `refine()`s they differ by under 1e-14 of the
-    largest entry.
+    in `Grid.uniform` and its `refine()`, or a constant ratio, as in
+    `Grid.log` and its `refine()`), the weight of tail panel j at target
+    i depends only on i - j, scaled by (t_i / t_n)^v on a ratio tail.
+    The tail sum is then one causal convolution of the samples and of
+    their differences over every tail panel with one sequence of exact
+    moments, summed directly by blocks (`_convolved`).  The head panels
+    are one block for all targets: O(n^2) multiply-adds but only O(n)
+    powers.  Other grids, and grids under nine points, take the exact
+    per-target loop, with O(n^2) powers.  The two routes agree to
+    rounding: on 2048-point uniform and log grids and their `refine()`s
+    they differ by under 1e-14 of the largest entry.
     """
     f, v = _checked_samples(grid, samples, v, "rl_profile")
     nodes = np.concatenate(([0.0], grid.array))
@@ -304,28 +310,21 @@ def rl_profile(grid: Grid, samples, v: float) -> np.ndarray:
         rows = [_rl_row(nodes[: i + 2], f[: i + 1], slopes[: i + 1], v)
                 for i in range(n)]
         return np.array(rows) / gamma(v)
-    head, p, geometric = tail
+    head, geometric = tail
     out = np.zeros(n)
     if head:
         m0, m1 = _panel_moments(nodes[1:, None], nodes[: head + 1], v)
         out += m0 @ f[:head] + m1 @ (df[:head] / np.diff(nodes[: head + 1]))
-    for phase in range(p):
-        # targets first, first + p, ..., ref; ref is the last of them
-        ref = n - 1 - (n - 1 - phase) % p
-        first = head + (phase - head) % p
-        if geometric:
-            # the row of the phase's last target sees every offset
-            tau = nodes[ref + 1] - nodes[head : ref + 2]
-        else:
-            # offsets from the tail's first node: the smallest numbers, so
-            # the short offsets the early targets lean on are resolved best
-            tau = np.concatenate(([0.0], nodes[head + 1 :] - nodes[head]))[::-1]
-        k0, k1 = _tail_kernels(tau, v)
-        # every tail panel against this phase's kernel; the phase keeps
-        # every p-th output, from its first target on
-        tail_sum = _convolved((f[head:n], df[head:n]), (k0, k1),
-                              n - head)[first - head :: p]
-        if geometric:
-            tail_sum *= (nodes[first + 1 :: p] / nodes[ref + 1]) ** v
-        out[first::p] += tail_sum
+    if geometric:
+        # the last target's row sees every offset
+        tau = nodes[n] - nodes[head:]
+    else:
+        # offsets from the tail's first node: the smallest numbers, so
+        # the short offsets the early targets lean on are resolved best
+        tau = np.concatenate(([0.0], nodes[head + 1 :] - nodes[head]))[::-1]
+    k0, k1 = _tail_kernels(tau, v)
+    tail_sum = _convolved((f[head:n], df[head:n]), (k0, k1))
+    if geometric:
+        tail_sum *= (nodes[head + 1 :] / nodes[n]) ** v
+    out[head:] += tail_sum
     return out / gamma(v)

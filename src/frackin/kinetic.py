@@ -433,13 +433,13 @@ def haubold_solution(c: float, v: float, t: float, n0: float = 1.0) -> float:
     v = float(v)
     t = float(t)
     if not math.isfinite(n0):
-        raise DomainError(f"haubold_solution requires a finite n0, got {n0!r}")
+        raise DomainError(f"the relaxation baseline requires a finite n0, got {n0!r}")
     if not c > 0.0:
-        raise DomainError(f"haubold_solution requires c > 0, got {c!r}")
+        raise DomainError(f"the relaxation baseline requires c > 0, got {c!r}")
     if not v > 0.0:
-        raise DomainError(f"haubold_solution requires v > 0, got {v!r}")
+        raise DomainError(f"the relaxation baseline requires v > 0, got {v!r}")
     if t < 0.0:
-        raise DomainError(f"haubold_solution requires t >= 0, got {t!r}")
+        raise DomainError(f"the relaxation baseline requires t >= 0, got {t!r}")
     if t == 0.0:
         return float(n0)
     return float(n0) * mittag_leffler(v, 1.0, _ml_argument(c, t, v))
@@ -450,11 +450,11 @@ def haubold_series(c: float, v: float, n0: float = 1.0) -> SolutionSeries:
     c = float(c)
     v = float(v)
     if not math.isfinite(n0):
-        raise DomainError(f"haubold_series requires a finite n0, got {n0!r}")
+        raise DomainError(f"the relaxation baseline requires a finite n0, got {n0!r}")
     if not c > 0.0:
-        raise DomainError(f"haubold_series requires c > 0, got {c!r}")
+        raise DomainError(f"the relaxation baseline requires c > 0, got {c!r}")
     if not 0.0 < v <= 2.0:
-        raise DomainError(f"haubold_series requires v in (0, 2], got {v!r}")
+        raise DomainError(f"the relaxation baseline requires v in (0, 2], got {v!r}")
     term = SolutionTerm(coeff=float(n0), power=0.0, ml_beta=1.0)
     return SolutionSeries((term,), v, c, 0, SolutionMode.CORRECTED)
 

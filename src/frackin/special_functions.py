@@ -388,20 +388,40 @@ def _series_products(xs: np.ndarray, gammas, deep=None):
     return values, _float_accepted(values, mag, converged & np.isfinite(values), rounding)
 
 
+def _grows_past_budget(x, gammas) -> bool:
+    """Whether the terms still grow at the last index the budget allows.
+
+    With every a_j >= 0 and b_j > 0, log Gamma is convex along each
+    argument a_j n + b_j, so |term n / term n-1| falls as n grows and is
+    at least |x| / prod_j (a_j K + b_j)^a_j at K = MAX_TERMS_EXTENDED
+    (the mean-value bound on each log-gamma difference, which can neither
+    overflow nor cancel).  Where that bound is >= 1 the terms grow
+    throughout the budget, and no partial sum can meet the tail rule.
+    """
+    if x == 0 or not all(a >= 0.0 and b > 0.0 for a, b in gammas):
+        return False
+    k = MAX_TERMS_EXTENDED
+    return float(mpmath.log(abs(x))) >= sum(a * math.log(a * k + b) for a, b in gammas)
+
+
 def _series_mp(setup, gammas, label: str) -> float:
     """sum_n x^n prod_j 1/Gamma(a_j n + b_j), times a prefactor, in mpmath.
 
     `setup()` returns (x, prefactor) built at the working precision.  The
     precision starts at 30 digits and grows with the cancellation the sum
     shows until its rounding floor sits about 13 digits below the value.
-    Raises ConvergenceError where the sum does not converge and
-    NonFiniteError where the value leaves the float64 range; `label`
-    names the series in those messages.
+    Raises ConvergenceError where the sum does not converge (at once
+    where `_grows_past_budget`) and NonFiniteError where the value leaves
+    the float64 range; `label` names the series in those messages.
     """
+    exhausted = (f"{label} did not meet the tail criterion within "
+                 f"{MAX_TERMS_EXTENDED} terms")
     dps = 30
     for _ in range(8):
         with mpmath.workdps(dps):
             x, prefactor = setup()
+            if _grows_past_budget(x, gammas):
+                raise ConvergenceError(exhausted)
             pairs = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in gammas]
             tail = mpmath.mpf(10) ** (-dps)
             total = max_mag = mpmath.mpf(0)
@@ -419,10 +439,7 @@ def _series_mp(setup, gammas, label: str) -> float:
                     break
                 xn *= x
             else:
-                raise ConvergenceError(
-                    f"{label} did not meet the tail criterion within "
-                    f"{MAX_TERMS_EXTENDED} terms"
-                )
+                raise ConvergenceError(exhausted)
             # precision is adequate once the accumulated rounding floor sits
             # at least ~13 digits below the result
             if max_mag == 0 or abs(total) > mpmath.mpf(10) ** (13 - dps) * max_mag:
@@ -466,10 +483,11 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     beta = float(beta)
     z = float(z)
     if not alpha > 0.0:
-        raise DomainError(f"mittag_leffler requires alpha > 0, got {alpha!r}")
+        raise DomainError(
+            f"Mittag-Leffler E_{{alpha,beta}} requires alpha > 0, got {alpha!r}")
     if not abs(z) <= ML_RANGE:
         raise DomainError(
-            f"mittag_leffler supports |z| <= {ML_RANGE:g}, got z={z!r}"
+            f"Mittag-Leffler E_{{alpha,beta}}(z) supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
     value, accepted = _series_float(z, ((alpha, beta),), deep=z < _DEEP)
     if accepted:
@@ -492,7 +510,7 @@ def _ml_rescue(alpha: float, betas: np.ndarray, zs: np.ndarray) -> np.ndarray:
 def _ml_extended(alpha: float, beta: float, z: float) -> float:
     """Mittag-Leffler's entry into the mpmath tier; every escalation ends here."""
     return _series_mp(lambda: (mpmath.mpf(z), 1), ((alpha, beta),),
-                      f"mittag_leffler({alpha!r}, {beta!r}, {z!r})")
+                      f"E_{{{alpha!r},{beta!r}}}({z!r})")
 
 
 # Contour integral for z < 0 (Garrappa, SIAM J. Numer. Anal. 53, 2015;
@@ -747,13 +765,14 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     """
     alpha = float(alpha)
     if not alpha > 0.0:
-        raise DomainError(f"mittag_leffler_grid requires alpha > 0, got {alpha!r}")
+        raise DomainError(
+            f"Mittag-Leffler E_{{alpha,beta}} requires alpha > 0, got {alpha!r}")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if zs.size and not np.max(np.abs(zs)) <= ML_RANGE:
         z = float(zs[np.argmax(np.abs(zs))])
         raise DomainError(
-            f"mittag_leffler_grid supports |z| <= {ML_RANGE:g}, got z={z!r}"
+            f"Mittag-Leffler E_{{alpha,beta}}(z) supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
@@ -778,7 +797,7 @@ def generalized_struve(spec: SeriesSpec, z: float) -> float:
         raise DomainError("generalized_struve expects a SeriesSpec")
     z = float(z)
     if z < 0.0:
-        raise DomainError(f"generalized_struve requires z >= 0, got {z!r}")
+        raise DomainError(f"the Struve-type series requires z >= 0, got {z!r}")
     gammas = ((spec.alpha, spec.mu), (spec.lam, spec.sigma))
     return _struve_series(gammas, spec.order, z, -1.0)
 

@@ -3,21 +3,52 @@
 import argparse
 import contextlib
 import errno
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import random
+import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import frackin
 from frackin import cli
 
 CLI = [sys.executable, "-m", "frackin.cli"]
+
+
+def _python_names():
+    """A pattern that finds, in a message, a function or method defined in
+    frackin: a name with an underscore as a whole word, or any name, such
+    as `gamma` or `residual`, that reads as a word otherwise, when it is
+    called."""
+    names = set()
+    for info in pkgutil.iter_modules(frackin.__path__):
+        module = importlib.import_module(f"frackin.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                names.add(name)
+            elif inspect.isclass(obj):
+                names.update(n for n, m in vars(obj).items()
+                             if not n.startswith("__") and (inspect.isfunction(m)
+                             or isinstance(m, (classmethod, staticmethod, property))))
+    snake = sorted(n for n in names if "_" in n)
+    words = sorted(n for n in names if "_" not in n)
+    return re.compile(rf"\b(?:{'|'.join(snake)})\b|\b(?:{'|'.join(words)})\(")
+
+
+PYTHON_NAME = _python_names()
 
 
 def run_cli(*args, **kwargs):
@@ -415,6 +446,24 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("frackin: error:")
         assert "supports |z| <= 100, got z=-160.2" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["eval-mlf", "--alpha", "0", "--beta", "1", "--z", "1"],
+        ["eval-struve", "--l", "0.5", "--z", "-1"],
+        ["eval-mlf", "--alpha", "0.1", "--beta", "1", "--z", "50"],
+        ["solve", "--theorem", "1", "--l", "1", "--v", "1.9", "--tmax", "12"],
+        ["haubold", "--c", "2.553", "--v", "1.996", "--tmax", "4.983", "--n", "100"],
+        ["haubold", "--c", "0", "--v", "1"],
+        ["haubold", "--c", "1", "--v", "3"],
+    ], ids=["alpha", "struve-z", "mlf-tail", "mlf-range", "grid-range",
+            "haubold-c", "haubold-v"])
+    def test_error_names_no_python_function(self, argv):
+        code, out, err = run_in_process(*argv)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("frackin: error:")
+        assert not PYTHON_NAME.search(lines[0]), lines[0]
+
     @pytest.mark.parametrize("tol", ["0", "-1e-4"])
     def test_non_positive_tolerance_is_3(self, tol):
         code, out, err = run_in_process("verify", "--theorem", "1", "--l", "1",
@@ -462,8 +511,11 @@ def test_seeded_sweep_prints_certified_numbers_or_names_its_failure():
     for argv in _sweep_argvs():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            start = time.perf_counter()
             code, out, err = run_in_process(*argv)
+            elapsed = time.perf_counter() - start
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        assert elapsed < 2.0, (argv, elapsed)
         if code == 0:
             rows = out.splitlines()[1:]
             assert rows and err == "", argv
@@ -472,6 +524,7 @@ def test_seeded_sweep_prints_certified_numbers_or_names_its_failure():
             assert code == 3 and out == "", argv
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("frackin: error:"), argv
+            assert not PYTHON_NAME.search(lines[0]), (argv, lines[0])
         exits.append(code)
     assert len(exits) == 240
     # most draws are in range: the sweep checks numbers, not only errors

@@ -91,6 +91,37 @@ class TestGrid:
         assert widest(f) == pytest.approx(widest(g) / 2)
         assert set(np.round(g.array, 12)).issubset(set(np.round(f.array, 12)))
 
+    @pytest.mark.parametrize("grid", [
+        Grid.uniform(0.01, 2.0, 300),
+        Grid.log(0.01, 2.0, 300),
+        Grid(tuple(2.0 * (np.arange(1, 65) / 64) ** 2)),
+        Grid.uniform(0.01, 2.0, 150).refine(),
+        Grid.log(0.01, 2.0, 150).refine(),
+        Grid.uniform(0.1, 1.0, 5),
+    ], ids=["uniform", "log", "graded", "uniform-refined", "log-refined", "n5"])
+    def test_refine_keeps_every_point_at_odd_indices(self, grid):
+        # verify reads the base grid's values as the refined grid's [1::2]
+        fine = grid.refine()
+        assert fine.n == 2 * grid.n
+        assert np.array_equal(fine.array[1::2], grid.array)
+        assert fine.array[0] == 0.5 * grid.array[0]
+
+    def test_refined_log_grid_is_a_log_grid(self):
+        g = Grid.log(0.01, 2.0, 300)
+        fine = g.refine()
+        head, geometric = _self_similar_tail(np.concatenate(([0.0], fine.array)))
+        assert geometric and head <= 2
+        ratio = g.array[-1] / g.array[-2]
+        tail = fine.array[head:]
+        assert np.allclose(tail[1:] / tail[:-1], math.sqrt(ratio), rtol=1e-13, atol=0)
+
+    def test_geometric_midpoints_do_not_overflow(self):
+        # an exact ratio of 2 is found geometric; sqrt(a b) would overflow
+        g = Grid(1e155 * 2.0 ** np.arange(16))
+        fine = g.refine()
+        assert np.all(np.isfinite(fine.array))
+        assert fine.array[-2] == pytest.approx(g.array[-2] * math.sqrt(2.0), rel=1e-15)
+
     def test_array_read_only(self):
         g = Grid.uniform(0.1, 1.0, 4)
         with pytest.raises(ValueError):
@@ -248,14 +279,14 @@ class TestProfileRoutes:
 
     ORDERS = (0.05, 0.5, 1.0, 1.5, 2.0)
 
-    # (grid, (head panels, period p, geometric))
+    # (grid, (head panels, geometric))
     TAIL_GRIDS = [
-        (Grid.uniform(0.01, 2.0, 700), (1, 1, False)),
-        (Grid.uniform(0.01, 2.0, 350).refine(), (2, 1, False)),
-        (Grid.log(0.01, 2.0, 700), (1, 1, True)),
-        (Grid.log(0.01, 2.0, 350).refine(), (2, 2, True)),
-        (Grid.uniform(3.0 / 700, 3.0, 700), (0, 1, False)),
-        (Grid.log(1e-5, 5.0, 2048), (1, 1, True)),
+        (Grid.uniform(0.01, 2.0, 700), (1, False)),
+        (Grid.uniform(0.01, 2.0, 350).refine(), (2, False)),
+        (Grid.log(0.01, 2.0, 700), (1, True)),
+        (Grid.log(0.01, 2.0, 350).refine(), (2, True)),
+        (Grid.uniform(3.0 / 700, 3.0, 700), (0, False)),
+        (Grid.log(1e-5, 5.0, 2048), (1, True)),
     ]
 
     @pytest.mark.parametrize("grid,expected", TAIL_GRIDS,
@@ -291,34 +322,33 @@ def _dropped_last(grid: Grid) -> Grid:
 
 
 def _block_edge_grids():
-    """Tails of _BLOCK - 1, _BLOCK and _BLOCK + 1 panels, or, on a p = 2
-    tail, phases of those lengths."""
+    """Tails of _BLOCK - 1, _BLOCK and _BLOCK + 1 panels, or, on a
+    refined log grid, of 2 _BLOCK - 4 to 2 _BLOCK + 1 panels."""
     out = []
     for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
         out += [
-            (f"uniform-{m}", Grid.uniform(0.01, 2.0, m + 1), (1, 1, False)),
-            (f"from-origin-{m}", Grid.uniform(2.0 / m, 2.0, m), (0, 1, False)),
-            (f"log-{m}", Grid.log(0.01, 2.0, m + 1), (1, 1, True)),
-            # 2k + 1 points, head 2: phases of k and k - 1 targets
-            (f"log-refined-{m}", Grid.log(0.01, 2.0, m).refine(), (2, 2, True)),
+            (f"uniform-{m}", Grid.uniform(0.01, 2.0, m + 1), (1, False)),
+            (f"from-origin-{m}", Grid.uniform(2.0 / m, 2.0, m), (0, False)),
+            (f"log-{m}", Grid.log(0.01, 2.0, m + 1), (1, True)),
+            # 2m and 2m + 1 points, head 2: tails of 2m - 2 and 2m - 1 panels
+            (f"log-refined-{m}", Grid.log(0.01, 2.0, m).refine(), (2, True)),
             (f"log-refined-even-{m}",
-             _dropped_last(Grid.log(0.01, 2.0, m + 1).refine()), (2, 2, True)),
+             _dropped_last(Grid.log(0.01, 2.0, m + 1).refine()), (2, True)),
         ]
     return out
 
 
 class TestConvolved:
-    """_convolved is numpy.convolve's first m entries, summed by blocks."""
+    """_convolved is numpy.convolve's first m entries, summed by blocks,
+    for inputs and kernels of one length m."""
 
     @pytest.mark.parametrize("m", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                   3 * _BLOCK + 5])
-    @pytest.mark.parametrize("k_size", ["shorter", "equal", "longer"])
-    def test_matches_numpy_convolve(self, m, k_size):
+                                   3 * _BLOCK + 5], ids=lambda m: f"equal-{m}")
+    def test_matches_numpy_convolve(self, m):
         rng = np.random.default_rng(m)
-        k_len = {"shorter": m // 2 + 1, "equal": m, "longer": m + 9}[k_size]
         xs = [rng.standard_normal(m) for _ in range(2)]
-        ks = [rng.standard_normal(k_len) for _ in range(2)]
-        got = _convolved(xs, ks, m)
+        ks = [rng.standard_normal(m) for _ in range(2)]
+        got = _convolved(xs, ks)
         want = sum(np.convolve(x, k)[:m] for x, k in zip(xs, ks))
         bound = sum(np.convolve(np.abs(x), np.abs(k))[:m]
                     for x, k in zip(xs, ks))

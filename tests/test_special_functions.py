@@ -966,6 +966,43 @@ class TestConvergenceGuards:
             mittag_leffler(0.01, 1.0, 99.0)
 
 
+class TestFastRefusal:
+    """Where the terms still grow at the last term the mpmath budget
+    allows, `_series_mp` refuses before it sums any."""
+
+    @pytest.fixture
+    def rgamma_calls(self, monkeypatch):
+        calls = []
+        rgamma = mp.rgamma
+
+        def counted(x):
+            calls.append(x)
+            return rgamma(x)
+
+        monkeypatch.setattr(mp, "rgamma", counted)
+        return calls
+
+    @pytest.mark.parametrize("call", [
+        lambda: struve_h(0.5, 1e6),
+        lambda: generalized_struve(SeriesSpec.struve(0.5), 1e200),
+        lambda: mittag_leffler(0.1, 1.0, 50.0),
+        lambda: mittag_leffler(0.2, 1.0, 99.0),
+    ], ids=["struve-1e6", "struve-1e200", "mlf-0.1-50", "mlf-0.2-99"])
+    def test_growing_terms_are_refused_unsummed(self, call, rgamma_calls):
+        with pytest.raises(ConvergenceError,
+                           match="did not meet the tail criterion within 5000 terms"):
+            call()
+        assert rgamma_calls == []
+
+    def test_decaying_terms_are_still_summed(self, rgamma_calls):
+        # E_{1/2,1}(z) = exp(z^2) erfc(-z); at z = 26 the terms peak near
+        # n = 1350 and the ratio bound at the budget's end reads 0.52
+        z = 26.0
+        want = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-z)
+        assert mittag_leffler(0.5, 1.0, z) == pytest.approx(float(want), rel=1e-12)
+        assert len(rgamma_calls) > 1000
+
+
 class TestNonFiniteArguments:
     def test_nan_z_raises(self):
         spec = SeriesSpec.struve(0.5)

@@ -166,6 +166,19 @@ class TestAdjudication:
             base, fine = result.corrected, result.corrected_refined
         assert fine.max_abs <= 0.9 * base.max_abs
 
+    @pytest.mark.parametrize("problem", benchmark_problems(),
+                             ids=["plain", "powered", "distinct"])
+    def test_log_grid_refines_at_second_order(self, problem):
+        # a refined log grid keeps its ratio, so the passing mode's residual
+        # falls by about 4 under one refinement, as on the uniform grid
+        result = adjudicate(problem, Grid.log(0.01, 2.0, 512))
+        assert result.verdict is adjudicate(problem, BENCH_GRID).verdict
+        if result.verdict is Adjudication.STATED_PASSES:
+            base, fine = result.stated, result.stated_refined
+        else:
+            base, fine = result.corrected, result.corrected_refined
+        assert base.max_abs >= 3.5 * fine.max_abs
+
     def test_reports_carry_verdict(self):
         result = adjudicate(benchmark_problems()[0],
                             Grid.uniform(2.0 / 256, 2.0, 256))

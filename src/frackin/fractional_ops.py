@@ -10,9 +10,9 @@ therefore handled without mesh grading, and the quadrature weights do not
 depend on the samples, so the operator is linear in them.
 
 `rl_profile` evaluates that quadrature at every grid point.  On grids
-whose panels, after a head of at most three, repeat by a constant step
-(`Grid.uniform` and its `refine()`) or a constant ratio (`Grid.log` and
-its `refine()`), the weights depend only on the offset between target
+whose panels, after a head of at most sixteen, repeat by a constant
+step (`Grid.uniform` and its `refine()`s) or a constant ratio (`Grid.log`
+and its `refine()`s), the weights depend only on the offset between target
 and panel, so the sum is one causal convolution per grid, with O(n)
 powers: a plain direct sum, block by block, that forms each entry only
 from the panels before it.  Graded, hand-built and very small grids
@@ -200,7 +200,7 @@ def rl_integral_grid(grid: Grid, samples, v: float, t_index: int) -> float:
 
 
 # A tail may follow at most this many irregular head panels.
-_MAX_HEAD = 3
+_MAX_HEAD = 16
 # Tolerance of the self-similarity test, in units in the last place.
 _TAIL_ULPS = 64
 # Below this many points the exact loop is as fast as convolving.
@@ -214,12 +214,15 @@ def _self_similar_tail(nodes: np.ndarray):
 
     The map is a constant step, s_{k+1} = s_k + h, or a constant ratio,
     s_{k+1} = r s_k, for every node k >= head, within _TAIL_ULPS units in
-    the last place.  Returns (head, geometric) for the first fit with
-    head <= _MAX_HEAD, or None.
+    the last place.  Returns (head, geometric) for the fit with the
+    shorter head, the constant step on a tie, if that head is at most
+    _MAX_HEAD; else None.  The shorter head wins because a few last
+    panels of a constant-ratio grid can also pass as a step tail.
     """
     if nodes.size - 1 < _MIN_CONVOLVED:
         return None
     later, earlier = nodes[1:], nodes[:-1]
+    fits = []
     for geometric in (False, True):
         if geometric:
             ratio = nodes[-1] / nodes[-2]
@@ -228,10 +231,9 @@ def _self_similar_tail(nodes: np.ndarray):
             step = nodes[-1] - nodes[-2]
             miss = np.abs(later - earlier - step) > _TAIL_ULPS * np.spacing(nodes[-1])
         bad = np.flatnonzero(miss)
-        head = int(bad[-1]) + 1 if bad.size else 0
-        if head <= _MAX_HEAD:
-            return head, geometric
-    return None
+        fits.append((int(bad[-1]) + 1 if bad.size else 0, geometric))
+    head, geometric = min(fits)
+    return (head, geometric) if head <= _MAX_HEAD else None
 
 
 def _convolved(inputs, kernels) -> np.ndarray:
@@ -287,9 +289,9 @@ def rl_profile(grid: Grid, samples, v: float) -> np.ndarray:
     """rl_integral_grid at every grid index, as one array.
 
     Same quadrature as the scalar entry point.  When the panels after a
-    head of at most three form a self-similar tail (a constant step, as
-    in `Grid.uniform` and its `refine()`, or a constant ratio, as in
-    `Grid.log` and its `refine()`), the weight of tail panel j at target
+    head of at most sixteen form a self-similar tail (a constant step, as
+    in `Grid.uniform` and its `refine()`s, or a constant ratio, as in
+    `Grid.log` and its `refine()`s), the weight of tail panel j at target
     i depends only on i - j, scaled by (t_i / t_n)^v on a ratio tail.
     The tail sum is then one causal convolution of the samples and of
     their differences over every tail panel with one sequence of exact

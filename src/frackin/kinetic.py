@@ -254,8 +254,9 @@ def build_solution(
     With truncation_k given, exactly that many terms plus one are built.
     Otherwise terms are added until the term at t_max passes two tail
     rules: its magnitude is at most 1e-14 of the largest term magnitude
-    seen, and `_tail_step`, the rule `eval_solution_grid` certifies with;
-    the 200-term cap raises ConvergenceError.
+    seen, and at most 1e-14 of the largest partial sum, the rule
+    `eval_solution_grid` certifies with; the 200-term cap raises
+    ConvergenceError.
     """
     if not isinstance(problem, KineticProblem):
         raise DomainError("build_solution expects a KineticProblem")
@@ -279,8 +280,7 @@ def build_solution(
         raise DomainError(f"t_max must be positive, got {t_max!r}")
     x = _ml_argument(problem.relax, t_max, problem.v)
     terms: list[SolutionTerm] = []
-    run_max = 0.0
-    state = (0.0, 0.0, 0.0)
+    run_max = total = sum_max = 0.0
     for k in range(MAX_SOLUTION_TERMS + 1):
         term = _term_parameters(problem, mode, k)
         terms.append(term)
@@ -288,8 +288,12 @@ def build_solution(
             problem.v, term.ml_beta, x
         )
         run_max = max(run_max, abs(value))
-        state, met = _tail_step(state, value, k >= 1 and term.coeff != 0.0)
-        if met and abs(value) <= _EVAL_TAIL * run_max:
+        total += value
+        # max keeps its first argument unless the second compares larger,
+        # so a NaN sum keeps a NaN sum_max, which never meets the rule
+        sum_max = max(abs(total), sum_max)
+        if (k >= 1 and term.coeff != 0.0 and abs(value) <= _EVAL_TAIL * sum_max
+                and abs(value) <= _EVAL_TAIL * run_max):
             return SolutionSeries(tuple(terms), problem.v, problem.relax, k, mode)
         if run_max == 0.0 and k >= 1 and problem.n0 == 0.0:
             # homogeneous instance: every coefficient is identically zero
@@ -311,37 +315,18 @@ def _ml_argument(rate: float, t: float, v: float) -> float:
         ) from None
 
 
-def _tail_step(state, term, counts: bool):
-    """Add one term to a compensated series sum; the shared tail rule.
-
-    `state` is (total, compensation, largest |partial sum|), as floats or
-    as arrays over evaluation times.  Returns the new state and whether
-    the term meets the tail rule of build_solution and
-    eval_solution_grid: |term| at most 1e-14 of the largest partial sum.
-    A term that does not count (k = 0, or a vanishing coefficient) never
-    meets it.
-    """
-    total, comp, sum_max = state
-    y = term - comp
-    s = total + y
-    comp = (s - total) - y
-    sum_max = np.maximum(sum_max, abs(s))
-    return (s, comp, sum_max), counts & (abs(term) <= _EVAL_TAIL * sum_max)
-
-
 def eval_solution_grid(sol: SolutionSeries, ts) -> np.ndarray:
     """Evaluate the series on an array of positive times.
 
-    Each point is summed in ascending k with compensated accumulation and
-    truncated adaptively by `_tail_step`, at the first term below 1e-14
-    of the largest partial sum.  ConvergenceError is raised where the
-    result cannot be certified, naming the first cause that applies: a
-    sum past the float64 range; eps times the largest term summed at a
-    point above 1e-10 of the largest value on the grid (the terms cancel
-    past what float64 carries); or a multi-term series that runs out of
-    terms before a point meets the tail rule (the built truncation cannot
-    certify its tail there; a single-term series is a closed form and is
-    taken as exact).
+    Each point is summed in ascending k and truncated adaptively, at the
+    first term below 1e-14 of the largest partial sum.  ConvergenceError
+    is raised where the result cannot be certified, naming the first
+    cause that applies: a sum past the float64 range; eps times the
+    largest term summed at a point above 1e-10 of the largest value on
+    the grid (the terms cancel past what float64 carries); or a
+    multi-term series that runs out of terms before a point meets the
+    tail rule (the built truncation cannot certify its tail there; a
+    single-term series is a closed form and is taken as exact).
     """
     if not isinstance(sol, SolutionSeries):
         raise DomainError("eval_solution_grid expects a SolutionSeries")
@@ -373,16 +358,18 @@ def _series_sums(sol: SolutionSeries, ts: np.ndarray):
     x = -((sol.rate * ts) ** sol.ml_alpha)
     ml = mittag_leffler_grid(sol.ml_alpha, betas, x)
     term_matrix = coeffs[:, None] * (ts[None, :] ** powers[:, None]) * ml
-    n = ts.size
-    state = (np.zeros(n), np.zeros(n), np.zeros(n))
-    largest = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
+    total, sum_max, largest = np.zeros((3, ts.size))
+    done = np.zeros(ts.size, dtype=bool)
     for k in range(len(sol.terms)):
+        # a point past its own tail takes no more terms: those of a longer
+        # build than it needs may be 0 * inf
         term = np.where(done, 0.0, term_matrix[k])
-        np.maximum(largest, np.abs(term), out=largest)
-        state, met = _tail_step(state, term, k >= 1 and coeffs[k] != 0.0)
-        done |= met
-    total, _, sum_max = state
+        size = np.abs(term)
+        np.maximum(largest, size, out=largest)
+        total += term
+        np.maximum(sum_max, np.abs(total), out=sum_max)
+        if k >= 1 and coeffs[k] != 0.0:
+            done |= size <= _EVAL_TAIL * sum_max
     return total, largest, done | (sum_max == 0.0) | (len(sol.terms) == 1)
 
 

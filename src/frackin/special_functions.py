@@ -11,13 +11,15 @@ vouches for it:
 1. The float64 series, judged by `_float_accepted`, which rejects
    alternating sums that cancel past what float64 carries.  It stops
    once a term drops below 1e-16 of the sum's size (after at least 6
-   terms, within 500).  `_series_float` sums one argument with
-   compensated (Kahan) accumulation, measuring the size as the largest
-   partial sum.  `_series_products` sums every grid, of either family:
-   one coefficient table times a matrix of powers per block of points,
-   with as many terms as the block's largest argument needs, judging
-   each tail against the sum of |terms|.  A grid of one row (every
-   Struve grid, a single Mittag-Leffler term) measures its cancellation
+   terms, within 500).  `_series_float` sums one argument term by term,
+   measuring the size as the largest partial sum.  No sum here carries
+   a correction for the rounding of its additions: each term's own
+   rounding, from its power and reciprocal gammas, outweighs it.
+   `_series_products` sums every grid, of either family: one
+   coefficient table times a matrix of powers per block of points, with
+   as many terms as the block's largest argument needs, judging each
+   tail against the sum of |terms|.  A grid of one row (every Struve
+   grid, a single Mittag-Leffler term) measures its cancellation
    against the largest partial sum, as the scalar does; a grid of
    several rows against the sum of |terms|, which bounds every partial
    sum, so its budget is never looser.
@@ -27,7 +29,9 @@ vouches for it:
 3. The mpmath series, `_series_mp`, at a precision chosen from the
    observed cancellation; `_ml_extended` and `_struve_extended` are the
    two families' entries.  It raises ConvergenceError where the sum does
-   not converge and NonFiniteError where the value leaves float64 range.
+   not converge (before summing, where `_tail_past_budget` finds its tail
+   past the term budget) and NonFiniteError where the value leaves
+   float64 range.
 
 Grids decide the tier entry by entry, and a rejected entry goes on to
 the next tier alone.  Only tier 1 has scalar and grid kernels, as a
@@ -232,7 +236,7 @@ def _series_float(x: float, gammas, deep: bool = False):
     """
     (a, b), (a2, b2) = gammas[0], gammas[-1]
     two = len(gammas) == 2
-    total = comp = max_mag = rounding = 0.0
+    total = max_mag = rounding = 0.0
     xn = 1.0
     converged = False
     for n in range(MAX_TERMS):
@@ -253,10 +257,7 @@ def _series_float(x: float, gammas, deep: bool = False):
             term *= reciprocal_gamma(g2)
         if not math.isfinite(term):
             break
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
+        total += term
         if deep:
             rounding += abs(term) * (n + abs(g) + 4.0)
         mag = abs(total)
@@ -388,20 +389,45 @@ def _series_products(xs: np.ndarray, gammas, deep=None):
     return values, _float_accepted(values, mag, converged & np.isfinite(values), rounding)
 
 
-def _grows_past_budget(x, gammas) -> bool:
-    """Whether the terms still grow at the last index the budget allows.
+def _tail_past_budget(x, gammas, dps: int) -> bool:
+    """Whether no partial sum within the budget can meet the tail rule at
+    `dps` digits, so that `_series_mp` may refuse before it sums.
 
     With every a_j >= 0 and b_j > 0, log Gamma is convex along each
-    argument a_j n + b_j, so |term n / term n-1| falls as n grows and is
-    at least |x| / prod_j (a_j K + b_j)^a_j at K = MAX_TERMS_EXTENDED
-    (the mean-value bound on each log-gamma difference, which can neither
-    overflow nor cancel).  Where that bound is >= 1 the terms grow
-    throughout the budget, and no partial sum can meet the tail rule.
+    argument a_j n + b_j, so log|term n+1 / term n| falls as n grows: the
+    terms rise to one peak n* and then fall.  n* is found by bisection on
+    the sign of that log-ratio.  With K = MAX_TERMS_EXTENDED, the rule
+    cannot be met where |term K-1| > 10^-dps K |term n*|:
+
+    - before the peak, each term is the largest so far;
+    - after the peak, every term is at least |term K-1|;
+    - every partial sum is at most K |term n*|.
+
+    Terms still growing at the end of the budget give n* = K-1.  The test
+    compares logs, with a margin of 1 (a factor e) for their rounding,
+    because 10^-dps underflows past 308 digits.  It judges only gamma
+    arguments up to 1e6: lgamma's rounding grows with its value, so past
+    that it could move the peak by more than the margin (and past 2.5e305
+    it overflows), and such a series is summed instead.
     """
-    if x == 0 or not all(a >= 0.0 and b > 0.0 for a, b in gammas):
-        return False
     k = MAX_TERMS_EXTENDED
-    return float(mpmath.log(abs(x))) >= sum(a * math.log(a * k + b) for a, b in gammas)
+    if x == 0 or not all(a >= 0.0 and b > 0.0 and a * k + b <= 1e6 for a, b in gammas):
+        return False
+    log_x = float(mpmath.log(abs(x)))
+
+    def log_term(n):
+        return n * log_x - sum(math.lgamma(a * n + b) for a, b in gammas)
+
+    # the first n whose successor is no larger, else k - 1
+    peak, last = 0, k - 1
+    while peak < last:
+        mid = (peak + last) // 2
+        if log_term(mid + 1) <= log_term(mid):
+            last = mid
+        else:
+            peak = mid + 1
+    return (log_term(k - 1) - log_term(peak) - math.log(k)
+            > 1.0 - dps * math.log(10.0))
 
 
 def _series_mp(setup, gammas, label: str) -> float:
@@ -410,9 +436,11 @@ def _series_mp(setup, gammas, label: str) -> float:
     `setup()` returns (x, prefactor) built at the working precision.  The
     precision starts at 30 digits and grows with the cancellation the sum
     shows until its rounding floor sits about 13 digits below the value.
-    Raises ConvergenceError where the sum does not converge (at once
-    where `_grows_past_budget`) and NonFiniteError where the value leaves
-    the float64 range; `label` names the series in those messages.
+    Raises ConvergenceError where the sum does not converge, before
+    summing any term where `_tail_past_budget` finds the tail rule at the
+    working precision past the term budget, and NonFiniteError where the
+    value leaves the float64 range; `label` names the series in those
+    messages.
     """
     exhausted = (f"{label} did not meet the tail criterion within "
                  f"{MAX_TERMS_EXTENDED} terms")
@@ -420,7 +448,7 @@ def _series_mp(setup, gammas, label: str) -> float:
     for _ in range(8):
         with mpmath.workdps(dps):
             x, prefactor = setup()
-            if _grows_past_budget(x, gammas):
+            if _tail_past_budget(x, gammas, dps):
                 raise ConvergenceError(exhausted)
             pairs = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in gammas]
             tail = mpmath.mpf(10) ** (-dps)

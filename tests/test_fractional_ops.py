@@ -287,12 +287,18 @@ class TestProfileRoutes:
         (Grid.log(0.01, 2.0, 350).refine(), (2, True)),
         (Grid.uniform(3.0 / 700, 3.0, 700), (0, False)),
         (Grid.log(1e-5, 5.0, 2048), (1, True)),
+        # each refine() doubles the head
+        (Grid.uniform(0.01, 2.0, 175).refine().refine(), (4, False)),
+        (Grid.log(0.01, 2.0, 175).refine().refine(), (4, True)),
+        (Grid.uniform(0.01, 2.0, 90).refine().refine().refine(), (8, False)),
     ]
 
     @pytest.mark.parametrize("grid,expected", TAIL_GRIDS,
                              ids=["uniform", "uniform-refined", "log",
                                   "log-refined", "uniform-from-origin",
-                                  "log-wide"])
+                                  "log-wide", "uniform-refined-twice",
+                                  "log-refined-twice",
+                                  "uniform-refined-thrice"])
     def test_tail_grids_match_exact_rows(self, grid, expected):
         assert _tail(grid) == expected
         samples = _smooth_samples(grid)

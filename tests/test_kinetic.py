@@ -7,6 +7,7 @@ formulas is caught against an independent transcription.
 """
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from frackin import (
     ConvergenceError,
     DomainError,
     Forcing,
+    Grid,
     KineticProblem,
     RangeError,
     SeriesSpec,
@@ -112,6 +114,21 @@ class TestSeriesInvariants:
             want = float(neumann_powered((1, 1, 1.5, 1, 2.5), 1.5, 2.0, float(t)))
             assert val == pytest.approx(want, rel=1e-9)
 
+    def test_seeded_builds_certify_their_tails(self):
+        # a build or its evaluation may refuse values past the float64
+        # range or terms that cancel, but evaluation never refuses the
+        # tail of a series built to the same t_max
+        refused = 0
+        for problem, mode, t_max in _seeded_problems():
+            ts = Grid.uniform(0.01, t_max, 200).refine().array
+            try:
+                eval_solution_grid(build_solution(problem, mode, t_max=t_max), ts)
+            except ConvergenceError as exc:
+                assert "cannot certify its tail" not in str(exc), (problem, mode, t_max)
+                refused += 1
+        # most draws evaluate: the sweep checks tails, not only errors
+        assert refused <= 30
+
     @pytest.mark.parametrize("v,d,t_bad", [(1.5, 2.0, 3.5), (1.9, 1.0, 5.0)])
     def test_cancelling_terms_raise(self, v, d, t_bad):
         # by t = 5 the terms reach 5e11 (v = 1.5) and 2.5e7 (v = 1.9)
@@ -167,6 +184,33 @@ class TestSeriesInvariants:
             assert c.coeff == pytest.approx(s.coeff, rel=1e-15)
             assert c.power == pytest.approx(s.power + 1.0, abs=1e-12)
             assert c.ml_beta == pytest.approx(s.ml_beta + 1.0, abs=1e-12)
+
+
+def _seeded_problems(count=300, seed=20261021):
+    """Seeded (problem, mode, t_max) over the 15 families: v in (0.2, 1.95),
+    t_max in [1, 5], d and a distinct relax in [0.5, 2], l in [-0.5, 1.5]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        family = rng.randrange(15)
+        l, v = rng.uniform(-0.5, 1.5), rng.uniform(0.2, 1.95)
+        d, relax = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        if family < 3:
+            spec = SeriesSpec.struve(l)
+            if family == 0:
+                problem = KineticProblem.plain_time(spec, v=v, d=d)
+            elif family == 1:
+                problem = KineticProblem.powered_time(spec, v=v, d=d)
+            else:
+                problem = KineticProblem.powered_time_distinct(spec, v=v, d=d, relax=relax)
+        else:
+            template = corollary_params(family - 2)
+            problem = template.make_problem(
+                order=l, v=v, d=d, relax=relax if template.distinct_relax else None,
+                lam=rng.uniform(0.5, 2.0), alpha=rng.uniform(0.5, 2.0),
+                mu=rng.uniform(1.0, 3.0))
+        out.append((problem, rng.choice(list(SolutionMode)), rng.uniform(1.0, 5.0)))
+    return out
 
 
 class TestEvaluation:

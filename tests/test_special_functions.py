@@ -480,7 +480,7 @@ class TestMittagLefflerProducts:
             want, bound = _ml_series_bound(alpha, betas[i], zs[j])
             tol = 1e-13 * abs(want) + sf._EPS * bound
             assert abs(values[i, j] - want) <= tol
-            # the scalar path's compensated loop as the reference
+            # the scalar path's term-by-term loop as the reference
             loop, loop_accepted = sf._series_float(
                 zs[j], ((alpha, betas[i]),), deep=zs[j] < sf._DEEP)
             if loop_accepted:
@@ -967,8 +967,10 @@ class TestConvergenceGuards:
 
 
 class TestFastRefusal:
-    """Where the terms still grow at the last term the mpmath budget
-    allows, `_series_mp` refuses before it sums any."""
+    """Where no partial sum within the mpmath budget can meet the tail
+    rule, because the terms still grow at its last term or have not yet
+    fallen far enough below their peak, `_series_mp` refuses before it
+    sums any."""
 
     @pytest.fixture
     def rgamma_calls(self, monkeypatch):
@@ -987,7 +989,10 @@ class TestFastRefusal:
         lambda: generalized_struve(SeriesSpec.struve(0.5), 1e200),
         lambda: mittag_leffler(0.1, 1.0, 50.0),
         lambda: mittag_leffler(0.2, 1.0, 99.0),
-    ], ids=["struve-1e6", "struve-1e200", "mlf-0.1-50", "mlf-0.2-99"])
+        # the terms peak at n = 3565, and term 4999 is only e^-25.6 below
+        lambda: mittag_leffler(0.1, 1.0, 1.8),
+    ], ids=["struve-1e6", "struve-1e200", "mlf-0.1-50", "mlf-0.2-99",
+            "mlf-0.1-1.8"])
     def test_growing_terms_are_refused_unsummed(self, call, rgamma_calls):
         with pytest.raises(ConvergenceError,
                            match="did not meet the tail criterion within 5000 terms"):
@@ -1001,6 +1006,16 @@ class TestFastRefusal:
         want = mp.exp(mp.mpf(z) ** 2) * mp.erfc(-z)
         assert mittag_leffler(0.5, 1.0, z) == pytest.approx(float(want), rel=1e-12)
         assert len(rgamma_calls) > 1000
+
+    @pytest.mark.parametrize("spec", [
+        SeriesSpec(lam=1e303, alpha=1.0, mu=1.0, order=0.5),
+        SeriesSpec(lam=1.0, alpha=1e303, mu=1.0, order=0.5),
+    ], ids=["lam", "alpha"])
+    def test_huge_slopes_are_summed(self, spec):
+        # math.lgamma overflows past 2.5e305, so such a series is summed,
+        # not judged; every term past the first is 0, leaving (z/2)^1.5
+        assert generalized_struve(spec, 0.5) == pytest.approx(0.125, rel=1e-15)
+        assert generalized_struve(spec, 50.0) == pytest.approx(125.0, rel=1e-15)
 
 
 class TestNonFiniteArguments:

@@ -7,6 +7,8 @@ summed with mpmath).
 
 import math
 import random
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -45,6 +47,20 @@ def _derivatives_mp(v, z):
         rhs = 4 * (z / 2) ** (v + 1) / (mp.sqrt(mp.pi) * mp.gamma(v + 0.5))
         ddh = (rhs - z * dh - (z * z - v * v) * h) / (z * z)
         return [float(h), float(dh), float(ddh)]
+
+
+@pytest.fixture
+def rgamma_calls(monkeypatch):
+    """Every argument mpmath's reciprocal gamma is called with."""
+    calls = []
+    rgamma = mp.rgamma
+
+    def counted(x):
+        calls.append(x)
+        return rgamma(x)
+
+    monkeypatch.setattr(mp, "rgamma", counted)
+    return calls
 
 
 class TestGamma:
@@ -385,7 +401,10 @@ class TestOneEscalationPath:
         assert mittag_leffler_grid(alpha, [beta], [z])[0, 0] == scalar
         assert len(mpmath_calls) == 2 * mpmath
 
-    @pytest.mark.parametrize("v,z,mpmath", [(0.5, 20.0, True), (-0.5, 5e-324, False)])
+    # H_{1/2}(20) takes the Poisson integral; at 6.3, near the double zero
+    # at 2 pi, its estimate fails and mpmath serves
+    @pytest.mark.parametrize("v,z,mpmath", [
+        (0.5, 20.0, False), (0.5, 6.3, True), (-0.5, 5e-324, False)])
     def test_struve(self, mpmath_calls, v, z, mpmath):
         scalar = struve_h(v, z)
         assert len(mpmath_calls) == mpmath
@@ -700,16 +719,16 @@ class TestGeneralizedStruve:
 
     def test_grid_escalates_entry_by_entry(self, monkeypatch):
         calls = []
-        original = sf._struve_extended
+        original = sf._struve_rescue
 
-        def counted(gammas, order, z, sign):
-            calls.append(z)
-            return original(gammas, order, z, sign)
+        def counted(gammas, order, zs, sign):
+            calls.append(zs.tolist())
+            return original(gammas, order, zs, sign)
 
-        monkeypatch.setattr(sf, "_struve_extended", counted)
+        monkeypatch.setattr(sf, "_struve_rescue", counted)
         zs = np.array([1.0, 20.0])
         values = generalized_struve_grid(SeriesSpec.struve(0.5), zs)
-        assert calls == [20.0]
+        assert calls == [[20.0]]
         # H_{1/2}(z) = sqrt(2 / (pi z)) (1 - cos z)
         want = np.sqrt(2.0 / (np.pi * zs)) * (1.0 - np.cos(zs))
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
@@ -822,6 +841,20 @@ class TestStruveDerivatives:
             for g, w in zip(struve_h_with_derivatives(v, z), want):
                 assert abs(g - w) <= 1e-10 * size, (v, z, g, w)
 
+    @pytest.mark.parametrize("z", [8.0, 12.0, 15.0, 20.0])
+    def test_served_without_mpmath(self, z, monkeypatch):
+        # S and A take the Poisson integral where float64 rejects them, and
+        # B, no classical sum, follows from S by one index shift
+        def refuse(*args):
+            raise AssertionError(f"mpmath tier reached: {args!r}")
+
+        monkeypatch.setattr(sf, "_struve_extended", refuse)
+        for v in (-0.6, 0.0, 0.5, 1.3, 1.9):
+            want = _derivatives_mp(v, z)
+            size = max(abs(w) for w in want)
+            for g, w in zip(struve_h_with_derivatives(v, z), want):
+                assert abs(g - w) <= 1e-10 * size, (v, z, g, w)
+
     def test_sweep_against_mpmath(self):
         # the old loop was 1.9e-9 off at (0.72, 16.9), 8.5e-10 at
         # (1e-6, 15) and 8.3e-8 in H'' at (1e-9, 1e-9)
@@ -901,6 +934,86 @@ def _struve_termwise(v, z, derivative):
         return float(total)
 
 
+class TestPoissonTier:
+    """Tier 2 of the classical H_v: Poisson's integral on a tanh-sinh rule,
+    for the entries float64 rejects, up to z = 40."""
+
+    @staticmethod
+    def _draws():
+        rng = random.Random(20261021)
+        draws = [(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 40.0)) for _ in range(240)]
+        # H_{1/2}(z) = sqrt(2 / (pi z)) (1 - cos z) has a double zero at 2 pi
+        draws += [(0.5, 2.0 * math.pi + rng.uniform(-0.5, 0.5)) for _ in range(40)]
+        return [(v, z) for v, z in draws if v > -1.0 and z > 0.0]
+
+    def test_sweep_against_mpmath(self):
+        accepted = escalated = 0
+        for v, z in self._draws():
+            # the rescue reads the order back from the gamma offset v + 3/2
+            raw, est = sf._struve_poisson((v + 1.5) - 1.5, np.array([z]))
+            with mp.workdps(40):
+                want = mp.struveh(v, z) / (mp.mpf(z) / 2) ** (v + 1)
+            served = est[0] <= 1e-12 * abs(raw[0])
+            if served:
+                accepted += 1
+                assert abs(raw[0] - want) <= 1e-12 * abs(want), (v, z)
+            half = 0.5 * z
+            gammas = ((1.0, 1.5), (1.0, v + 1.5))
+            if sf._series_float(-(half * half), gammas)[1]:
+                continue
+            escalated += 1
+            value = struve_h(v, z)
+            if served:
+                assert value == sf._scaled(raw[0], v, z)
+            else:
+                assert value == sf._struve_extended(gammas, v, z, -1.0), (v, z)
+        assert accepted >= 0.9 * len(self._draws())
+        assert escalated >= 100
+
+    def test_benchmark_escalations_leave_mpmath(self, rgamma_calls):
+        # the direct struve_h calls that one round of point-evals (seed 1)
+        # used to send to the mpmath series
+        cases = [(1.6043, 16.9447), (0.3381, 16.5197), (1.3052, 19.1648),
+                 (1.3449, 11.6362), (0.5655, 12.3986), (1.1529, 14.643)]
+        values = [struve_h(v, z) for v, z in cases]
+        assert rgamma_calls == []
+        for (v, z), value in zip(cases, values):
+            assert value == pytest.approx(float(mp.struveh(v, z)), rel=1e-12)
+
+    @pytest.mark.parametrize("v", [0.5, 0.338, 1.7, -0.6])
+    def test_grid_entry_is_the_scalar_call(self, v, monkeypatch):
+        # every entry the grid's float64 pass rejects goes to one batched
+        # rescue, and comes back bit for bit as the scalar call's value,
+        # whatever else shares its batch (float64 entries come from the
+        # grid's own kernel, and may differ in the last bits)
+        mpmath_calls = []
+        original = sf._struve_extended
+
+        def counted(gammas, order, z, sign):
+            mpmath_calls.append(z)
+            return original(gammas, order, z, sign)
+
+        monkeypatch.setattr(sf, "_struve_extended", counted)
+        zs = np.linspace(0.1, 30.0, 400)
+        grid = generalized_struve_grid(SeriesSpec.struve(v), zs)
+        half = 0.5 * zs
+        accepted = sf._series_products(-(half * half), [(1.0, [1.5]), (1.0, [v + 1.5])])[1]
+        escalated = np.flatnonzero(~accepted[0])
+        assert escalated.size > 100
+        for j in escalated:
+            assert grid[j] == struve_h(v, float(zs[j])), (v, zs[j])
+        if v == 0.5:
+            # the entries near 2 pi reach mpmath, from the grid and the scalar
+            assert 0 < len(mpmath_calls) < escalated.size
+
+    def test_table_is_built_on_first_use(self):
+        script = ("import frackin.cli, frackin.special_functions as sf; "
+                  "assert sf._poisson_nodes is None; "
+                  "frackin.struve_h(0.5, 19.2); "
+                  "assert sf._poisson_nodes is not None")
+        subprocess.run([sys.executable, "-c", script], check=True)
+
+
 class TestStruveOverflow:
     def test_argument_past_float64_range_is_refused_silently(self):
         # (z/2)^2 overflows: the float64 tier refuses the entry, and the
@@ -971,18 +1084,6 @@ class TestFastRefusal:
     rule, because the terms still grow at its last term or have not yet
     fallen far enough below their peak, `_series_mp` refuses before it
     sums any."""
-
-    @pytest.fixture
-    def rgamma_calls(self, monkeypatch):
-        calls = []
-        rgamma = mp.rgamma
-
-        def counted(x):
-            calls.append(x)
-            return rgamma(x)
-
-        monkeypatch.setattr(mp, "rgamma", counted)
-        return calls
 
     @pytest.mark.parametrize("call", [
         lambda: struve_h(0.5, 1e6),

@@ -315,8 +315,9 @@ def _series_products(xs: np.ndarray, gammas, deep=None):
     array over the rows, and `deep` marks the columns that also carry a
     rounding bound.  The table C[r, n] = prod_j 1/Gamma(a_j n +
     offsets_j[r]) is built once.  Each block of _BLOCK columns takes the
-    prefix of C its largest |x| needs, with the powers V[n, j] = xs[j]^n:
-    the values are C @ V, the sums of |terms| |C| @ |V|, and the rounding
+    prefix of C its largest |x| needs, with the powers V[n, j] = xs[j]^n
+    in one row-major layout for every grid, of one row or several: the
+    values are C @ V, the sums of |terms| |C| @ |V|, and the rounding
     bound one more product.  An entry has converged when its row's last
     term before 1/Gamma underflows is at most _TAIL of its sum of |terms|.
     `_float_accepted`'s budget measures the cancellation
@@ -373,10 +374,6 @@ def _series_products(xs: np.ndarray, gammas, deep=None):
         powers[0] = 1.0
         for k in range(1, n):
             np.multiply(powers[k - 1], x, out=powers[k])
-        if b.size > 1:
-            # BLAS's summation order follows V's memory layout; this one
-            # keeps a solution series' terms as they have been measured
-            powers = np.asfortranarray(powers)
         size = np.abs(powers)
         values[:, cols] = coeff[:, :n] @ powers
         mag[:, cols] = total = np.abs(coeff[:, :n]) @ size
@@ -515,6 +512,17 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     alpha = float(alpha)
     beta = float(beta)
     z = float(z)
+    _ml_domain(alpha, z)
+    value, accepted = _series_float(z, ((alpha, beta),), deep=z < _DEEP)
+    if accepted:
+        return value
+    return float(_ml_rescue(alpha, np.array([beta]), np.array([z]))[0])
+
+
+def _ml_domain(alpha: float, z: float) -> None:
+    """Both entry points' argument check, on the scalar's z or the grid's
+    entry of largest |z|; plain Python, so the scalar path makes no numpy
+    call."""
     if not alpha > 0.0:
         raise DomainError(
             f"Mittag-Leffler E_{{alpha,beta}} requires alpha > 0, got {alpha!r}")
@@ -522,10 +530,6 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         raise DomainError(
             f"Mittag-Leffler E_{{alpha,beta}}(z) supports |z| <= {ML_RANGE:g}, got z={z!r}"
         )
-    value, accepted = _series_float(z, ((alpha, beta),), deep=z < _DEEP)
-    if accepted:
-        return value
-    return float(_ml_rescue(alpha, np.array([beta]), np.array([z]))[0])
 
 
 def _ml_rescue(alpha: float, betas: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -535,7 +539,7 @@ def _ml_rescue(alpha: float, betas: np.ndarray, zs: np.ndarray) -> np.ndarray:
     for; every other entry goes to mpmath alone.
     """
     values, est = _ml_contour(alpha, betas, zs)
-    for i in np.flatnonzero(~(est <= _CONTOUR_TOL * np.abs(values))):
+    for i in np.flatnonzero(~(_relative(values, est) <= _CONTOUR_TOL)):
         values[i] = _ml_extended(alpha, float(betas[i]), float(zs[i]))
     return values
 
@@ -797,16 +801,9 @@ def mittag_leffler_grid(alpha: float, betas, zs) -> np.ndarray:
     DomainError naming the largest.
     """
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(
-            f"Mittag-Leffler E_{{alpha,beta}} requires alpha > 0, got {alpha!r}")
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if zs.size and not np.max(np.abs(zs)) <= ML_RANGE:
-        z = float(zs[np.argmax(np.abs(zs))])
-        raise DomainError(
-            f"Mittag-Leffler E_{{alpha,beta}}(z) supports |z| <= {ML_RANGE:g}, got z={z!r}"
-        )
+    _ml_domain(alpha, float(zs[np.argmax(np.abs(zs))]) if zs.size else 0.0)
     if betas.size == 0 or zs.size == 0:
         return np.zeros((betas.size, zs.size))
     total, accepted = _series_products(zs, ((alpha, betas),), zs < _DEEP)

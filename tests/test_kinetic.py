@@ -135,6 +135,37 @@ class TestSeriesInvariants:
         # most draws evaluate: the sweep checks tails, not only errors
         assert refused <= 30
 
+    @staticmethod
+    def _stops_where_certified(problem, mode, t_max):
+        # the build's last term is the first evaluation needs at t_max
+        sol = build_solution(problem, mode, t_max=t_max)
+        eval_solution_grid(sol, np.array([t_max]))
+        shorter = build_solution(problem, mode, truncation_k=sol.truncation_k - 1)
+        with pytest.raises(ConvergenceError, match="cannot certify its tail"):
+            eval_solution_grid(shorter, np.array([t_max]))
+        return sol
+
+    def test_build_stops_where_evaluation_certifies(self):
+        # a rule on the largest single term stopped this build at k = 11,
+        # one term past what evaluation needs
+        p = KineticProblem.plain_time(SeriesSpec.struve(-0.2346), v=1.5511,
+                                      d=1.8719, n0=0.8131)
+        sol = self._stops_where_certified(p, SolutionMode.STATED, 1.6514)
+        assert sol.truncation_k == 10
+
+    def test_seeded_builds_stop_where_evaluation_certifies(self):
+        checked = 0
+        for problem, _, t_max in _seeded_problems():
+            for mode in SolutionMode:
+                try:
+                    self._stops_where_certified(problem, mode, t_max)
+                except ConvergenceError as exc:
+                    # values past the float64 range or terms that cancel
+                    assert "cannot certify its tail" not in str(exc), (problem, mode)
+                    continue
+                checked += 1
+        assert checked >= 500
+
     @pytest.mark.parametrize("v,d,t_bad", [(1.5, 2.0, 3.5), (1.9, 1.0, 5.0)])
     def test_cancelling_terms_raise(self, v, d, t_bad):
         # by t = 5 the terms reach 5e11 (v = 1.5) and 2.5e7 (v = 1.9)

@@ -15,8 +15,8 @@ step (`Grid.uniform` and its `refine()`s) or a constant ratio (`Grid.log`
 and its `refine()`s), the weights depend only on the offset between target
 and panel, so the sum is one causal convolution per grid, with O(n)
 powers: a plain direct sum, block by block, that forms each entry only
-from the panels before it.  Graded, hand-built and very small grids
-take an exact O(n^2)-power loop, row by row as `rl_integral_grid`
+from the panels before it, at every grid size.  Graded and hand-built
+grids take an exact O(n^2)-power loop, row by row as `rl_integral_grid`
 computes one point.  Both routes give the same numbers to rounding.
 """
 
@@ -79,11 +79,13 @@ class Grid:
         [0, t_1] included, and every point of this grid, bit for bit, at
         the odd indices.
 
-        A constant-ratio tail (`_self_similar_tail`, as on `Grid.log`) gets
-        geometric midpoints a sqrt(b/a) and so keeps a constant ratio;
-        every other panel gets its arithmetic midpoint.  Verification uses
-        it to separate quadrature error (which shrinks) from structural
-        error (which does not).
+        A constant-ratio tail (`_self_similar_tail`, as on `Grid.log` of
+        any size from three points) gets geometric midpoints a sqrt(b/a)
+        and so keeps a constant ratio; every other panel gets its
+        arithmetic midpoint.  Two points fit a constant step as well as a
+        ratio, and the step wins the tie.  Verification uses it to
+        separate quadrature error (which shrinks) from structural error
+        (which does not).
         """
         nodes = np.concatenate(([0.0], self.array))
         mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -203,8 +205,6 @@ def rl_integral_grid(grid: Grid, samples, v: float, t_index: int) -> float:
 _MAX_HEAD = 16
 # Tolerance of the self-similarity test, in units in the last place.
 _TAIL_ULPS = 64
-# Below this many points the exact loop is as fast as convolving.
-_MIN_CONVOLVED = 9
 # Width of the blocks a tail convolution is summed in.
 _BLOCK = 64
 
@@ -219,8 +219,6 @@ def _self_similar_tail(nodes: np.ndarray):
     _MAX_HEAD; else None.  The shorter head wins because a few last
     panels of a constant-ratio grid can also pass as a step tail.
     """
-    if nodes.size - 1 < _MIN_CONVOLVED:
-        return None
     later, earlier = nodes[1:], nodes[:-1]
     fits = []
     for geometric in (False, True):
@@ -297,10 +295,10 @@ def rl_profile(grid: Grid, samples, v: float) -> np.ndarray:
     their differences over every tail panel with one sequence of exact
     moments, summed directly by blocks (`_convolved`).  The head panels
     are one block for all targets: O(n^2) multiply-adds but only O(n)
-    powers.  Other grids, and grids under nine points, take the exact
-    per-target loop, with O(n^2) powers.  The two routes agree to
-    rounding: on 2048-point uniform and log grids and their `refine()`s
-    they differ by under 1e-14 of the largest entry.
+    powers.  Every other grid takes the exact per-target loop, with
+    O(n^2) powers; a grid's size never overrides its tail.  The two
+    routes agree to rounding: on 2048-point uniform and log grids and
+    their `refine()`s they differ by under 1e-14 of the largest entry.
     """
     f, v = _checked_samples(grid, samples, v, "rl_profile")
     nodes = np.concatenate(([0.0], grid.array))

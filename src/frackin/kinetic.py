@@ -164,30 +164,29 @@ class SolutionSeries:
     """Truncated solution series together with its evaluation recipe.
 
     The value at time t is
-    sum_k coeff_k * t^power_k * E_{ml_alpha, ml_beta_k}(-(rate*t)^ml_alpha).
+    sum_k coeff_k * t^power_k * E_{ml_alpha, ml_beta_k}(-(rate*t)^ml_alpha),
+    over k = 0 .. truncation_k, the index of the last term.
     """
 
     terms: tuple[SolutionTerm, ...]
     ml_alpha: float
     rate: float
-    truncation_k: int
     mode: SolutionMode
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "ml_alpha", float(self.ml_alpha))
         object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "truncation_k", int(self.truncation_k))
-        if len(self.terms) != self.truncation_k + 1:
-            raise DomainError(
-                f"term count {len(self.terms)} must equal truncation_k + 1 "
-                f"= {self.truncation_k + 1}"
-            )
         powers = [t.power for t in self.terms]
         if any(b <= a for a, b in zip(powers, powers[1:])):
             raise DomainError("term powers must be strictly increasing")
         if not isinstance(self.mode, SolutionMode):
             raise DomainError("mode must be a SolutionMode value")
+
+    @property
+    def truncation_k(self) -> int:
+        """Index of the last term: one less than the number of terms."""
+        return len(self.terms) - 1
 
     def origin_value(self) -> float:
         """Limit of the series at t -> 0+, used as the quadrature origin sample.
@@ -254,7 +253,9 @@ def build_solution(
     With truncation_k given, exactly that many terms plus one are built.
     Otherwise terms are added until the term at t_max is at most 1e-14 of
     the largest partial sum, the tail rule `eval_solution_grid` certifies
-    each point with (a homogeneous problem, n0 = 0, stops at k = 1); the
+    each point with (a homogeneous problem, n0 = 0, stops at k = 1), or
+    until the first term whose value at t_max is not finite, a sum no
+    later term can certify and `eval_solution_grid` refuses by name; the
     200-term cap raises ConvergenceError.
     """
     if not isinstance(problem, KineticProblem):
@@ -273,7 +274,7 @@ def build_solution(
         terms = tuple(
             _term_parameters(problem, mode, k) for k in range(truncation_k + 1)
         )
-        return SolutionSeries(terms, problem.v, problem.relax, truncation_k, mode)
+        return SolutionSeries(terms, problem.v, problem.relax, mode)
     t_max = float(t_max)
     if not t_max > 0.0:
         raise DomainError(f"t_max must be positive, got {t_max!r}")
@@ -283,16 +284,17 @@ def build_solution(
     for k in range(MAX_SOLUTION_TERMS + 1):
         term = _term_parameters(problem, mode, k)
         terms.append(term)
-        value = term.coeff * t_max ** term.power * mittag_leffler(
-            problem.v, term.ml_beta, x
-        )
+        try:
+            value = term.coeff * t_max ** term.power * mittag_leffler(
+                problem.v, term.ml_beta, x
+            )
+        except OverflowError:
+            value = math.inf
         total += value
-        # max keeps its first argument unless the second compares larger,
-        # so a NaN sum keeps a NaN sum_max, which never meets the rule
         sum_max = max(abs(total), sum_max)
-        if k >= 1 and (problem.n0 == 0.0 or (
-                term.coeff != 0.0 and abs(value) <= _EVAL_TAIL * sum_max)):
-            return SolutionSeries(tuple(terms), problem.v, problem.relax, k, mode)
+        if not math.isfinite(value) or (k >= 1 and (problem.n0 == 0.0 or (
+                term.coeff != 0.0 and abs(value) <= _EVAL_TAIL * sum_max))):
+            return SolutionSeries(tuple(terms), problem.v, problem.relax, mode)
     raise ConvergenceError(
         f"solution series did not meet the tail criterion at t_max={t_max!r} "
         f"within the {MAX_SOLUTION_TERMS}-term cap"
@@ -410,21 +412,16 @@ def eval_solution(sol: SolutionSeries, t: float) -> float:
 
 
 def haubold_solution(c: float, v: float, t: float, n0: float = 1.0) -> float:
-    """Pure-relaxation baseline N0 * E_{v,1}(-(c t)^v) with constant forcing."""
-    c = float(c)
-    v = float(v)
+    """Pure-relaxation baseline N0 * E_{v,1}(-(c t)^v) with constant forcing,
+    on the domain of `haubold_series`."""
+    series = haubold_series(c, v, n0)
     t = float(t)
-    if not math.isfinite(n0):
-        raise DomainError(f"the relaxation baseline requires a finite n0, got {n0!r}")
-    if not c > 0.0:
-        raise DomainError(f"the relaxation baseline requires c > 0, got {c!r}")
-    if not v > 0.0:
-        raise DomainError(f"the relaxation baseline requires v > 0, got {v!r}")
     if t < 0.0:
         raise DomainError(f"the relaxation baseline requires t >= 0, got {t!r}")
     if t == 0.0:
         return float(n0)
-    return float(n0) * mittag_leffler(v, 1.0, _ml_argument(c, t, v))
+    return float(n0) * mittag_leffler(series.ml_alpha, 1.0,
+                                      _ml_argument(series.rate, t, series.ml_alpha))
 
 
 def haubold_series(c: float, v: float, n0: float = 1.0) -> SolutionSeries:
@@ -438,7 +435,7 @@ def haubold_series(c: float, v: float, n0: float = 1.0) -> SolutionSeries:
     if not 0.0 < v <= 2.0:
         raise DomainError(f"the relaxation baseline requires v in (0, 2], got {v!r}")
     term = SolutionTerm(coeff=float(n0), power=0.0, ml_beta=1.0)
-    return SolutionSeries((term,), v, c, 0, SolutionMode.CORRECTED)
+    return SolutionSeries((term,), v, c, SolutionMode.CORRECTED)
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,9 @@ def _series_float(x: float, gammas, deep: bool = False):
 
     `gammas` holds one or two pairs (a_j, b_j) with a_j > 0.  With `deep`
     (Mittag-Leffler below _DEEP, where the terms grow far past the result
-    before they decay) the sum also carries its rounding bound.  Returns
-    (value, accepted).
+    before they decay) the sum also carries its rounding bound.  A sum
+    whose 1/Gamma underflows before its terms decay, at its first term
+    or later, is not accepted.  Returns (value, accepted).
     """
     (a, b), (a2, b2) = gammas[0], gammas[-1]
     two = len(gammas) == 2
@@ -253,9 +254,10 @@ def _series_float(x: float, gammas, deep: bool = False):
                 lo = g2
             else:
                 hi = g2
-        if hi > _GAMMA_OVERFLOW and max_mag > 0.0:
+        if hi > _GAMMA_OVERFLOW:
             # 1/Gamma underflows to 0 from here on, which would end the
-            # sum whether or not its terms have decayed
+            # sum whether or not its terms have decayed; a row dead from
+            # its first term never converges, as in `_series_products`
             break
         term = xn * reciprocal_gamma(g)
         if two:
@@ -1011,8 +1013,10 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     in x = -(z/2)^2 with the product of both reciprocal gammas as its
     coefficients.  The entries it cannot vouch for (among them those
     whose x overflows) go to the scalar path's `_struve_rescue` in one
-    batched call, so each escalates as the same scalar call does; each
-    entry whose z/2 is subnormal takes the scalar path whole.
+    batched call, so each escalates as the same scalar call does.  An
+    accepted entry whose z/2 is subnormal takes its prefactor from
+    `_scaled`, as the scalar does; its x underflows to -0, so its sum is
+    the first coefficient in both, and the two agree bit for bit.
     """
     if not isinstance(spec, SeriesSpec):
         raise DomainError("generalized_struve_grid expects a SeriesSpec")
@@ -1031,9 +1035,9 @@ def generalized_struve_grid(spec: SeriesSpec, zs) -> np.ndarray:
     rejected = np.flatnonzero(~accepted[0])
     if rejected.size:
         value[rejected] = _struve_rescue(gammas, spec.order, zs[rejected], -1.0)
-    # entries whose z/2 is subnormal have lost digits
+    # where z/2 is subnormal, half ** (order + 1) has lost digits
     for j in np.flatnonzero(accepted[0] & (zs > 0.0) & (half < _NORMAL_MIN)):
-        value[j] = _struve_series(gammas, spec.order, float(zs[j]), -1.0)
+        value[j] = _scaled(total[0, j], spec.order, float(zs[j]))
     if not np.all(np.isfinite(value)):
         raise NonFiniteError("Struve-type series value exceeds the float64 range")
     return value
@@ -1052,12 +1056,13 @@ def struve_h_with_derivatives(v: float, z: float) -> tuple[float, float, float]:
     exact factor v(v+1) makes H'' vanish.  S and A are the raw sums of
     H_v and H_(v+1) and take `struve_h`'s tiers, so H is `struve_h(v, z)`
     bit for bit wherever float64 or the Poisson integral serves S.  B is
-    not a classical sum: where its float64 series rejects, it is taken
-    from S = c - u^2 B, one index shift apart, with c = 1/(Gamma(3/2)
-    Gamma(v+3/2)), wherever c - S does not cancel (|c - S| >= c/2), and
-    from mpmath elsewhere.  Past z = 40 S and A take mpmath, and a call
-    costs about two `struve_h` calls (seconds from z = 1000).  Past the
-    float64 range: NonFiniteError.
+    not a classical sum: it is taken from S = c - u^2 B, one index shift
+    apart, with c = 1/(Gamma(3/2) Gamma(v+3/2)), wherever c - S does not
+    cancel (|c - S| >= c/2), and elsewhere from its own series, whose
+    tiers past float64 are `_struve_rescue`'s like every Struve value.
+    Past z = 40 S and A take mpmath, and a call costs about two
+    `struve_h` calls (seconds from z = 1000).  Past the float64 range:
+    NonFiniteError.
     """
     v = float(v)
     z = float(z)
@@ -1069,15 +1074,12 @@ def struve_h_with_derivatives(v: float, z: float) -> tuple[float, float, float]:
             for sigma in (1.5, 2.5))
     u = 0.5 * z
     u2 = u * u
-    b_gammas = ((1.0, 2.5), (1.0, v + 2.5))
-    b, accepted = _series_float(-u2, b_gammas)
-    if not accepted:
-        # one index shift apart, S = c - u^2 B with c = 1/(G(3/2) G(v+3/2))
-        c = reciprocal_gamma(1.5) * reciprocal_gamma(v + 1.5)
-        if 0.0 < 0.5 * c <= abs(c - s):
-            b = (c - s) / u2
-        else:
-            b = _struve_extended(b_gammas, -1.0, z, -1.0)
+    # one index shift apart, S = c - u^2 B with c = 1/(G(3/2) G(v+3/2))
+    c = reciprocal_gamma(1.5) * reciprocal_gamma(v + 1.5)
+    if 0.0 < 0.5 * c <= abs(c - s):
+        b = (c - s) / u2
+    else:
+        b = _struve_series(((1.0, 2.5), (1.0, v + 2.5)), -1.0, z, -1.0)
     try:
         values = (_half_power(z, v + 1.0) * s,
                   _half_power(z, v) * ((v + 1.0) * s / 2.0 - u2 * (a - b / 2.0)),

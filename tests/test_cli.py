@@ -93,6 +93,14 @@ class TestEvalCommands:
         value = float(out.stdout.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(0.36678569278448927, rel=1e-13)
 
+    def test_struve_order_past_gamma_overflow(self):
+        # every 1/Gamma of the series underflows from its first term on
+        code, out, _ = run_in_process("eval-struve", "--l", "172", "--z", "30",
+                                      "--format", "json")
+        assert code == 0
+        value = json.loads(out)["rows"][0][1]
+        assert value == pytest.approx(5.3285399965075212e-110, rel=1e-10, abs=0.0)
+
     def test_struve_json_structure(self):
         out = run_cli("eval-struve", "--l", "1", "--z", "0.5", "2.5",
                       "--format", "json")
@@ -222,6 +230,31 @@ class TestVerifyCommand:
         out = run_cli(*base, "--expect", "corrected", "--output", "/dev/null")
         assert out.returncode == 4
         assert "neither_pass" in out.stderr
+
+
+class TestForcedVerdicts:
+    """`verify`'s passing list and --expect exit code for the verdicts
+    that no benchmark instance reaches, with the mode test forced."""
+
+    ARGV = ["verify", "--theorem", "1", "--l", "1", "--v", "0.75", "--n", "64"]
+
+    @pytest.mark.parametrize("passing,verdict,exits", [
+        (("stated", "corrected"), "both_pass", {"stated": 0, "corrected": 0}),
+        (("stated",), "stated_passes", {"stated": 0, "corrected": 4}),
+    ], ids=["both", "stated"])
+    def test_passing_list_and_expect(self, monkeypatch, passing, verdict, exits):
+        monkeypatch.setattr(frackin.verify, "_mode_passes",
+                            lambda base, refined, tol_rel: base.mode.value in passing)
+        code, out, _ = run_in_process(*self.ARGV, "--format", "json")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["adjudication"] == verdict
+        assert summary["passing"] == list(passing)
+        for mode, want in exits.items():
+            code, _, err = run_in_process(*self.ARGV, "--expect", mode,
+                                          "--output", os.devnull)
+            assert code == want
+            assert ("did not pass" in err) == (want == 4)
 
 
 class TestOtherCommands:
@@ -430,6 +463,17 @@ class TestExitCodes:
         assert message in lines[0]
         # neither a Python name nor a longer series is offered as the mend
         assert "powered_time" not in lines[0] and "rebuild" not in lines[0]
+
+    def test_term_past_float64_range_is_3(self):
+        # t_max^power of a term overflows before its coefficient brings it
+        # back: the build stops there and evaluation names the cause
+        out = run_cli("solve", "--theorem", "1", "--l", "1", "--d", "0.01",
+                      "--v", "0.75", "--tmax", "100", "--n", "10")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("frackin: error:")
+        assert "leave the float64 range at t=100.0" in lines[0]
 
     def test_range_error_is_3(self):
         out = run_cli("eval-mlf", "--alpha", "1", "--beta", "1",

@@ -13,6 +13,7 @@ from frackin import (
     InsufficientGrid,
     NonFiniteError,
     gamma,
+    mittag_leffler_grid,
     rl_integral_grid,
     rl_integral_power,
     rl_profile,
@@ -113,6 +114,14 @@ class TestGrid:
         assert geometric and head <= 2
         ratio = g.array[-1] / g.array[-2]
         tail = fine.array[head:]
+        assert np.allclose(tail[1:] / tail[:-1], math.sqrt(ratio), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_small_refined_log_grid_is_a_log_grid(self, n):
+        # a grid's size never overrides the ratio its panels show
+        g = Grid.log(0.1, 1.0, n)
+        tail = g.refine().array[1:]
+        ratio = g.array[-1] / g.array[-2]
         assert np.allclose(tail[1:] / tail[:-1], math.sqrt(ratio), rtol=1e-13, atol=0)
 
     def test_geometric_midpoints_do_not_overflow(self):
@@ -291,6 +300,11 @@ class TestProfileRoutes:
         (Grid.uniform(0.01, 2.0, 175).refine().refine(), (4, False)),
         (Grid.log(0.01, 2.0, 175).refine().refine(), (4, True)),
         (Grid.uniform(0.01, 2.0, 90).refine().refine().refine(), (8, False)),
+        # a grid's size never overrides its tail
+        (Grid.uniform(0.1, 1.0, 2), (1, False)),
+        (Grid.uniform(0.1, 1.0, 3), (1, False)),
+        (Grid.uniform(0.1, 1.0, 5), (1, False)),
+        (Grid.log(0.1, 1.0, 4), (1, True)),
     ]
 
     @pytest.mark.parametrize("grid,expected", TAIL_GRIDS,
@@ -298,7 +312,8 @@ class TestProfileRoutes:
                                   "log-refined", "uniform-from-origin",
                                   "log-wide", "uniform-refined-twice",
                                   "log-refined-twice",
-                                  "uniform-refined-thrice"])
+                                  "uniform-refined-thrice", "n2", "n3", "n5",
+                                  "log-n4"])
     def test_tail_grids_match_exact_rows(self, grid, expected):
         assert _tail(grid) == expected
         samples = _smooth_samples(grid)
@@ -309,12 +324,9 @@ class TestProfileRoutes:
             assert rel <= 1e-12, f"v={v}: {rel:.2e}"
 
     @pytest.mark.parametrize("grid", [
-        Grid.uniform(0.1, 1.0, 2),
-        Grid.uniform(0.1, 1.0, 3),
-        Grid.uniform(0.1, 1.0, 5),
         Grid(tuple(2.0 * (np.arange(1, 65) / 64) ** 2)),
         _moved_point_grid(),
-    ], ids=["n2", "n3", "n5", "graded", "moved-point"])
+    ], ids=["graded", "moved-point"])
     def test_other_grids_take_the_exact_loop(self, grid):
         assert _tail(grid) is None
         samples = _smooth_samples(grid)
@@ -434,6 +446,45 @@ class TestConvergenceOrder:
             e_fine = _relative_error(a, v, 4096, graded)
             order = math.log(e_coarse / e_fine) / math.log(8.0)
             assert order >= 1.9, f"a={a} v={v}: order {order:.3f}"
+
+
+class TestTermIdentity:
+    """I^v [t^(b-1) E_{v,b}(-(r t)^v)] = t^(b+v-1) E_{v,b+v}(-(r t)^v)
+    (Podlubny 1999, section 1.2), the shape of every solution-series term,
+    through `rl_profile` on uniform grids of [0, 2] with r = 1.
+
+    The error is the largest over the grid, over the largest exact value,
+    at n = 256, 512, 1024 and 2048.  It falls at second order where the
+    integrand is smooth at the origin (b - 1 >= 1).  Below that the
+    origin panel sets the rate: at b = 1, 2.85x per doubling for v = 0.75;
+    at b = 0.6, v = 0.5, the origin sample is pinned to 0 and the error
+    at t_1, of order b + v - 1, falls 1.06x (at t = 2, 1.50x: order b).
+    """
+
+    @staticmethod
+    def _errors(b, v):
+        errors = []
+        for n in (256, 512, 1024, 2048):
+            grid = Grid.uniform(2.0 / n, 2.0, n)
+            t = grid.array
+            x = -(t ** v)
+            f = t ** (b - 1.0) * mittag_leffler_grid(v, [b], x)[0]
+            # the limit at t = 0, pinned to 0 where it diverges (b < 1)
+            origin = 1.0 if b == 1.0 else 0.0
+            got = rl_profile(grid, np.concatenate(([origin], f)), v)
+            want = t ** (b + v - 1.0) * mittag_leffler_grid(v, [b + v], x)[0]
+            errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        return np.array(errors)
+
+    @pytest.mark.parametrize("b,v", [(2.5, 0.75), (3.2, 1.3)])
+    def test_second_order_where_smooth(self, b, v):
+        errors = self._errors(b, v)
+        assert np.all(errors[:-1] / errors[1:] >= 3.9), errors
+
+    @pytest.mark.parametrize("b,v", [(1.0, 1.5), (1.0, 0.75), (0.6, 0.5)])
+    def test_falls_under_refinement(self, b, v):
+        errors = self._errors(b, v)
+        assert np.all(errors[1:] < errors[:-1]), errors
 
 
 class TestSemigroup:

@@ -78,15 +78,35 @@ class TestProblemConstruction:
 
 
 class TestSeriesInvariants:
-    def test_term_count_checked(self):
-        t = SolutionTerm(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            SolutionSeries((t,), 0.5, 1.0, 3, SolutionMode.CORRECTED)
-
     def test_powers_strictly_increasing(self):
         terms = (SolutionTerm(1.0, 1.0, 2.0), SolutionTerm(1.0, 1.0, 3.0))
         with pytest.raises(DomainError):
-            SolutionSeries(terms, 0.5, 1.0, 1, SolutionMode.CORRECTED)
+            SolutionSeries(terms, 0.5, 1.0, SolutionMode.CORRECTED)
+
+    def test_truncation_k_is_the_last_index(self):
+        terms = (SolutionTerm(1.0, 0.0, 1.0), SolutionTerm(1.0, 1.0, 2.0))
+        sol = SolutionSeries(terms, 0.5, 1.0, SolutionMode.CORRECTED)
+        assert sol.truncation_k == 1
+        with pytest.raises(AttributeError):
+            sol.truncation_k = 3
+
+    @pytest.mark.parametrize("k,error,message", [
+        (-1, DomainError, "must be >= 0"),
+        (201, ConvergenceError, "exceeds the 200-term cap"),
+    ], ids=["negative", "past-cap"])
+    def test_explicit_truncation_range(self, k, error, message):
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
+        with pytest.raises(error, match=message):
+            build_solution(p, SolutionMode.CORRECTED, truncation_k=k)
+
+    def test_build_stops_at_a_term_past_float64_range(self):
+        # t_max^power overflows at k = 77 (100^156): the build stops there,
+        # and evaluation names the cause
+        p = KineticProblem.plain_time(SPEC, v=0.75, d=0.01)
+        sol = build_solution(p, SolutionMode.CORRECTED, t_max=100.0)
+        assert sol.truncation_k == 77
+        with pytest.raises(ConvergenceError, match="leave the float64 range"):
+            eval_solution_grid(sol, [100.0])
 
     def test_build_respects_explicit_truncation(self):
         p = KineticProblem.plain_time(SPEC, v=0.75, d=1.0)
@@ -350,6 +370,13 @@ class TestHaubold:
             haubold_solution(0.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             haubold_solution(1.0, 0.5, -1.0)
+
+    def test_domain_is_the_series_domain(self):
+        # the scalar once returned 0.7074 at v = 2.5, which the series refuses
+        for call in (lambda: haubold_series(1.0, 2.5),
+                     lambda: haubold_solution(1.0, 2.5, 1.0)):
+            with pytest.raises(DomainError, match=r"v in \(0, 2\]"):
+                call()
 
     def test_overflowing_argument(self):
         # (c t)^v past the float64 range: refused, not a bare OverflowError

@@ -1024,6 +1024,38 @@ class TestStruveOverflow:
                 generalized_struve_grid(SeriesSpec.struve(0.5), [1e200])
 
 
+class TestFirstTermUnderflow:
+    """Series whose every 1/Gamma underflows from the first term on: the
+    scalar float64 tier refuses them, as the grid's does, so both take
+    the same escalation path."""
+
+    # H_172(30) = 5.3e-110, H_200(700) = 1.9e132 and H_300(20) = 1.7e-315,
+    # a subnormal; the scalar once read 0.0, raised and read 0.0
+    @pytest.mark.parametrize("v,z", [(172.0, 30.0), (200.0, 700.0), (300.0, 20.0)])
+    def test_struve_scalar_matches_grid_and_mpmath(self, v, z):
+        scalar = struve_h(v, z)
+        assert generalized_struve_grid(SeriesSpec.struve(v), [z])[0] == scalar
+        with mp.workdps(40):
+            want = float(mp.struveh(v, z))
+        assert scalar == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_struve_value_below_float64_range_is_zero(self):
+        # H_400(20) is 7.5e-470
+        assert struve_h(400.0, 20.0) == 0.0
+
+    def test_mittag_leffler_scalar_matches_grid(self):
+        # E_{2.5,172}(-3) = 8.06e-310 (the scalar once read 0.0), and
+        # E_{1/2,175}(50), about 1e494, is refused by both (once 0.0)
+        assert mittag_leffler(2.5, 172.0, -3.0) == pytest.approx(
+            8.057838764939456e-310, rel=1e-10, abs=0.0)
+        assert mittag_leffler_grid(2.5, [172.0], [-3.0])[0, 0] == \
+            mittag_leffler(2.5, 172.0, -3.0)
+        for call in (lambda: mittag_leffler(0.5, 175.0, 50.0),
+                     lambda: mittag_leffler_grid(0.5, [175.0], [50.0])):
+            with pytest.raises(ConvergenceError):
+                call()
+
+
 class TestStruveSubnormal:
     """z/2 below the normal range: powers of z/2 are taken from z itself.
 

@@ -26,6 +26,7 @@ from frackin import (
     haubold_residual,
     residual,
 )
+from frackin import verify
 from frackin.verify import _mode_passes
 
 SPEC = SeriesSpec(lam=1.0, alpha=1.0, mu=1.5, order=1.0)
@@ -196,6 +197,32 @@ class TestAdjudication:
             r1 = residual(tied, mode, g, warn=False)
             r2 = residual(degenerate, mode, g, warn=False)
             assert np.max(np.abs(r1.residual - r2.residual)) <= 1e-12
+
+
+def _forced_passes(monkeypatch, passing):
+    """Let exactly the modes in `passing` pass, whatever their residuals."""
+    monkeypatch.setattr(verify, "_mode_passes",
+                        lambda base, refined, tol_rel: base.mode in passing)
+
+
+class TestVerdictPaths:
+    """Every verdict `adjudicate` can give, with the mode test forced: the
+    benchmark instances reach corrected-only and neither."""
+
+    @pytest.mark.parametrize("passing,verdict", [
+        ({SolutionMode.STATED, SolutionMode.CORRECTED}, Adjudication.BOTH_PASS),
+        ({SolutionMode.STATED}, Adjudication.STATED_PASSES),
+        ({SolutionMode.CORRECTED}, Adjudication.CORRECTED_PASSES),
+        (set(), Adjudication.NEITHER_PASS),
+    ], ids=["both", "stated", "corrected", "neither"])
+    def test_verdict_follows_the_modes_that_pass(self, monkeypatch, passing, verdict):
+        _forced_passes(monkeypatch, passing)
+        result = adjudicate(benchmark_problems()[0],
+                            Grid.uniform(2.0 / 128, 2.0, 128))
+        assert result.verdict is verdict
+        reports = (result.stated, result.corrected, result.stated_refined,
+                   result.corrected_refined)
+        assert all(r.adjudication is verdict for r in reports)
 
 
 def _first_residual_error(problem, grid, error):
